@@ -63,12 +63,14 @@ from .affine import (
     NotTypeA,
     affine_reflect,
     borel_act,
+    borel_at,
     borel_of_class,
     class_of_borel,
     dta_words,
     extend,
     gram,
     node_move,
+    transitions,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

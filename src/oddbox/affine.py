@@ -17,16 +17,23 @@ diagram; reflecting at a grey node negates its vector, adds it to both
 cyclic neighbours, and applies the matching odd reflection to the local
 shuffle at a fixed k.
 
-No closed formula recovers k from the dbar coefficients of a root set, so
-the pairing between classes and cyclic diagrams is built by a memoized
-breadth-first search from the extension of the distinguished shuffle; the
-search doubles as a consistency check, since revisiting an anchor with a
-different diagram would be a contradiction.
+The Borel paired with an anchored pair (diagram, k) has a closed form.
+Split k = i*n + j*m - c*mn with 0 <= i < m and 0 <= j < n
+(``solve_rotation``) and extend the shuffle of the diagram.  Each node of
+the extension has its e coefficients rotated j steps down (e_a moves to
+e_{a-j}), its d coefficients rotated i steps up (d_b moves to d_{b+i}),
+and c*sum(e) - sum_{a<=j} e_a + sum_{b>m-i} d_b, taken over the old
+coefficients, subtracted from its dbar coefficient.  Node t lands at
+position (D + t) mod (m + n) with D = i - j - c*m, and D is the deleted
+node.  Raising k by mn lowers c by one, so it rotates the positions by m
+and raises each dbar coefficient by the sum of the node's e coefficients.
+The formula is checked, not assumed: ``verify`` compares it with every
+node move and odd reflection out of every anchor in its window, and the
+tests compare it with a breadth-first search over those moves and
+reflections from the extension of the distinguished shuffle.
 """
 
-from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .rect import (
     DomainError,
@@ -35,12 +42,14 @@ from .rect import (
     RectShape,
     Shuffle,
     ShapeUnsupported,
+    check_diagram,
     check_shuffle,
     diagram_of_shuffle,
-    identity_shuffle,
     render_root,
     rotate_word,
     rotated_root_at,
+    shuffle_of_diagram,
+    solve_rotation,
     word_of_shuffle,
 )
 from .reflect import NotEligible, root_pair, shuffle_edge, simple_roots
@@ -346,90 +355,59 @@ def dta_words(dk: CyclicDK) -> tuple[str, ...]:
     return tuple(rotate_word(w0, i) for i in range(dk.size))
 
 
-class BorelAtlas:
-    """Memoized search pairing classes with cyclic diagrams.
+def borel_at(shape: RectShape, pair) -> FiniteBorel:
+    """The Borel paired with a class, anchored at the given representative.
 
-    Node moves walk through the anchors of one class without changing the
-    cyclic diagram; reflections at grey nodes realize the morphisms and
-    change the degree by one.  Transitivity of the action makes every
-    class reachable from the extension of the distinguished shuffle, so a
-    breadth-first search over a band of degrees records one cyclic diagram
-    per class.  Build once, then share: lookups never mutate an already
-    covered band.
+    >>> b = borel_at(RectShape(3, 4), ((0, 0, 0), 7))
+    >>> [r.render() for r in b.simple_global()]
+    ['dbar - e1 + e3', 'e1 - e2', '-d2 + e2', 'd2 - d3', 'd3 - d4', 'dbar - d1 + d4']
     """
-
-    _MARGIN = 2
-
-    def __init__(self, shape: RectShape):
-        require_class_shape(shape)
-        self.shape = shape
-        self._base = extend(shape, identity_shuffle(shape))
-        self._by_class: dict[AnchoredPair, FiniteBorel] = {}
-        self._band: tuple[int, int] | None = None
-
-    def ensure_band(self, lo: int, hi: int) -> None:
-        lo = min(lo, 0) - self._MARGIN
-        hi = max(hi, 0) + self._MARGIN
-        if self._band is not None:
-            if self._band[0] <= lo and hi <= self._band[1]:
-                return
-            lo = min(lo, self._band[0])
-            hi = max(hi, self._band[1])
-        by_class: dict[AnchoredPair, FiniteBorel] = {}
-        seen: dict[tuple[Shuffle, int], FiniteBorel] = {}
-        queue = deque([self._base])
-        seen[(self._base.shuffle, self._base.k)] = self._base
-        while queue:
-            b = queue.popleft()
-            key = enumerate_class(self.shape, b.pair()).canonical
-            by_class.setdefault(key, b)
-            for nb in self._transitions(b):
-                if not lo <= nb.degree <= hi:
-                    continue
-                skey = (nb.shuffle, nb.k)
-                prev = seen.get(skey)
-                if prev is None:
-                    seen[skey] = nb
-                    queue.append(nb)
-                elif prev.dk != nb.dk:
-                    raise RuntimeError(
-                        f"anchor {skey} reached with two different cyclic diagrams"
-                    )
-        self._by_class = by_class
-        self._band = (lo, hi)
-
-    def _transitions(self, b: FiniteBorel) -> list[FiniteBorel]:
-        out = []
-        for which in _MOVE_STEP:
-            try:
-                out.append(node_move(b, which))
-            except NotEligible:
-                pass
-        for node in range(b.dk.size):
-            if node != b.deleted and b.dk.nodes[node].isotropic:
-                out.append(affine_reflect(b, node))
-        return out
-
-    def borel_of_class(self, cls: OrbitClass) -> FiniteBorel:
-        d = cls.degree
-        self.ensure_band(min(d, 0), max(d, 0))
-        b = self._by_class.get(cls.canonical)
-        if b is None:
-            raise RuntimeError(f"class {cls.canonical} not reached by the atlas search")
-        return anchor_at(b, cls.canonical)
-
-    def classes_in_band(self) -> tuple[AnchoredPair, ...]:
-        return tuple(sorted(self._by_class))
+    require_class_shape(shape)
+    parts, k = tuple(pair[0]), pair[1]
+    check_diagram(shape, parts)
+    n, m = shape.n, shape.m
+    i, j = solve_rotation(shape, k)
+    c = (i * n + j * m - k) // (n * m)
+    base = extend(shape, shuffle_of_diagram(shape, parts))
+    deleted = (i - j - c * m) % shape.size
+    nodes = [None] * shape.size
+    for t, r in enumerate(base.dk.nodes):
+        shift = c * sum(r.eps) - sum(r.eps[:j]) + sum(r.dels[m - i:])
+        nodes[(deleted + t) % shape.size] = GlobalRoot(
+            r.eps[j:] + r.eps[:j], r.dels[m - i:] + r.dels[:m - i], r.dbar - shift
+        )
+    return FiniteBorel(CyclicDK(shape, tuple(nodes)), deleted, base.shuffle, k)
 
 
-@lru_cache(maxsize=None)
-def _atlas(shape: RectShape) -> BorelAtlas:
-    return BorelAtlas(shape)
+def transitions(b: FiniteBorel) -> list[FiniteBorel]:
+    """Every Borel one step away: the defined node moves, then the
+    reflections at the grey undeleted nodes."""
+    out = []
+    for which in _MOVE_STEP:
+        try:
+            out.append(node_move(b, which))
+        except NotEligible:
+            pass
+    for node in range(b.dk.size):
+        if node != b.deleted and b.dk.nodes[node].isotropic:
+            out.append(affine_reflect(b, node))
+    return out
 
 
 def borel_of_class(cls: OrbitClass) -> FiniteBorel:
     """The Borel paired with a class, anchored at the canonical representative."""
-    return _atlas(cls.shape).borel_of_class(cls)
+    return borel_at(cls.shape, cls.canonical)
+
+
+class BorelAtlas:
+    """The class-to-Borel pairing of one shape; refuses unsupported shapes."""
+
+    def __init__(self, shape: RectShape):
+        require_class_shape(shape)
+        self.shape = shape
+
+    def borel_of_class(self, cls: OrbitClass) -> FiniteBorel:
+        return borel_of_class(cls)
 
 
 def class_of_borel(b: FiniteBorel) -> OrbitClass:

@@ -220,7 +220,7 @@ def cmd_borel(args) -> int:
     parts = _input_diagram(shape, args)
     pair = orbit.AnchoredPair(parts, args.k)
     cls = orbit.enumerate_class(shape, pair)
-    b = affine.anchor_at(affine.borel_of_class(cls), pair)
+    b = affine.borel_at(shape, pair)
     words = affine.dta_words(b.dk)
     lines = [
         f"borel of:      {render_diagram(parts)} @ {args.k}   (class {orbit.class_id(cls)})",
@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suite for a shape")
     _add_shape(p)
-    p.add_argument("--deg", help="degree window LO:HI for class-level checks")
+    p.add_argument("--deg", help="half-open degree window LO:HI (LO < HI) for class-level checks")
     p.set_defaults(func=cmd_verify)
 
     return parser

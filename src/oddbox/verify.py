@@ -274,11 +274,10 @@ def _vss(shape, window):
 
 def _borel_invariants(shape, window):
     bad = []
-    atlas = affine.BorelAtlas(shape)
     one = affine.dbar_root(shape)
     for d in range(*window):
         for cls in orbit.classes_at_degree(shape, d):
-            b = atlas.borel_of_class(cls)
+            b = affine.borel_of_class(cls)
             if b.dk.node_sum() != one:
                 bad.append(f"node sum wrong for {orbit.class_id(cls)}")
             matrix = b.dk.gram()
@@ -297,11 +296,10 @@ def _borel_invariants(shape, window):
 
 def _borel_bijection(shape, window):
     bad = []
-    atlas = affine.BorelAtlas(shape)
     seen = {}
     for d in range(*window):
         for cls in orbit.classes_at_degree(shape, d):
-            b = atlas.borel_of_class(cls)
+            b = affine.borel_of_class(cls)
             key = tuple(sorted(b.dk.nodes))
             if key in seen and seen[key] != cls.canonical:
                 bad.append(f"{orbit.class_id(cls)} shares a diagram with {seen[key]}")
@@ -312,12 +310,25 @@ def _borel_bijection(shape, window):
     return bad
 
 
+def _pair_id(pair):
+    return f"{rect.render_diagram(pair.diagram)}@{pair.k}"
+
+
 def _borel_equivariance(shape, window):
+    """The closed-form pairing starts at the extension of the distinguished
+    shuffle and agrees with every node move and odd reflection out of every
+    anchor in the window; the class action is equivariant."""
     bad = []
-    atlas = affine.BorelAtlas(shape)
+    zero = orbit.AnchoredPair((0,) * shape.n, 0)
+    if affine.borel_at(shape, zero) != affine.extend(shape, rect.identity_shuffle(shape)):
+        bad.append("the empty diagram at k = 0 is not the extension of the distinguished shuffle")
     for d in range(*window):
         for cls in orbit.classes_at_degree(shape, d):
-            b = atlas.borel_of_class(cls)
+            for rep in cls.reps:
+                for nb in affine.transitions(affine.borel_at(shape, rep)):
+                    if nb != affine.borel_at(shape, nb.pair()):
+                        bad.append(f"a move or reflection from {_pair_id(rep)} disagrees at {_pair_id(nb.pair())}")
+            b = affine.borel_of_class(cls)
             for root in orbit.all_signed_roots(shape):
                 try:
                     image = orbit.act(cls, root)
@@ -332,7 +343,7 @@ def _borel_equivariance(shape, window):
                     continue
                 if image is None:
                     continue
-                if atlas.borel_of_class(image).dk != moved.dk:
+                if affine.borel_of_class(image).dk != moved.dk:
                     bad.append(f"equivariance fails at {orbit.class_id(cls)}, {rect.render_root(root)}")
     return bad
 
@@ -389,9 +400,14 @@ _CLASS_LEVEL = (
 
 
 def run_all(shape: rect.RectShape, lo: int | None = None, hi: int | None = None) -> list[CheckResult]:
-    """Run every applicable check; class-level sweeps default to one period."""
+    """Run every applicable check; class-level sweeps default to one period.
+
+    The degree window lo..hi is half-open, so it must satisfy lo < hi.
+    """
     if lo is None or hi is None:
         lo, hi = 0, shape.n * shape.m
+    if lo >= hi:
+        raise ValueError(f"verify windows are half-open, so LO:HI needs LO < HI, got {lo}:{hi}")
     window = (lo, hi)
     results = []
 

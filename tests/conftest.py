@@ -1,6 +1,10 @@
 """Shared shape lists and independent oracles for the test suite."""
 
-from oddbox.rect import RectShape
+from collections import deque
+
+from oddbox.affine import affine_reflect, extend, node_move
+from oddbox.rect import RectShape, identity_shuffle
+from oddbox.reflect import NotEligible
 
 # every shape with m + n <= 9, and the coprime ones among them
 ALL_SHAPES = [
@@ -56,3 +60,40 @@ def oracle_word(shape, parts):
             word.append("r")
             b += 1
     return "".join(word)
+
+
+def oracle_borel_search(shape, lo, hi, margin=2):
+    """Every anchored Borel of degree lo..hi, found by breadth-first search.
+
+    The search starts at the extension of the distinguished shuffle and
+    follows node moves and odd reflections at grey nodes through the degrees
+    lo - margin..hi + margin (0 included), so that paths may leave the
+    window and come back.  It asserts that no anchor is reached with two
+    different diagrams, and returns a dict from (diagram, k) to its Borel.
+    """
+    lo_band, hi_band = min(lo, 0) - margin, max(hi, 0) + margin
+    base = extend(shape, identity_shuffle(shape))
+    seen = {base.pair(): base}
+    queue = deque([base])
+    while queue:
+        b = queue.popleft()
+        steps = []
+        for which in ("-r", "+r", "-c", "+c"):
+            try:
+                steps.append(node_move(b, which))
+            except NotEligible:
+                pass
+        steps.extend(
+            affine_reflect(b, t)
+            for t, root in enumerate(b.dk.nodes)
+            if t != b.deleted and root.isotropic
+        )
+        for nb in steps:
+            if not lo_band <= nb.degree <= hi_band:
+                continue
+            prev = seen.setdefault(nb.pair(), nb)
+            if prev is nb:
+                queue.append(nb)
+            else:
+                assert prev == nb, f"anchor {nb.pair()} reached with two different diagrams"
+    return {pair: b for pair, b in seen.items() if lo <= pair.degree() <= hi}

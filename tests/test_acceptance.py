@@ -241,7 +241,6 @@ def test_09_borel_pairing():
     for shape in (S23, S34):
         mn = shape.n * shape.m
         atlas = affine.BorelAtlas(shape)
-        atlas.ensure_band(-mn, mn)
         one = affine.dbar_root(shape)
         seen = {}
         for d in range(-mn, mn + 1):

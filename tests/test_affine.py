@@ -10,6 +10,7 @@ from oddbox.affine import (
     anchor_at,
     basis_root,
     borel_act,
+    borel_at,
     borel_json,
     borel_of_class,
     class_of_borel,
@@ -20,6 +21,7 @@ from oddbox.affine import (
     gram,
     node_move,
     step_forward,
+    transitions,
     words_from_greys,
 )
 from oddbox.orbit import UndefinedMorphism, act, all_signed_roots, classes_at_degree, enumerate_class
@@ -34,6 +36,8 @@ from oddbox.rect import (
     shuffle_of_diagram,
 )
 from oddbox.reflect import NotEligible
+
+from conftest import oracle_borel_search
 
 S23 = RectShape(2, 3)
 S34 = RectShape(3, 4)
@@ -315,8 +319,8 @@ def test_atlas_guards():
 
 
 def test_atlas_replay_matches_direct_extension():
-    """Dual route: the memoized replay from the base point must reproduce,
-    for every diagram at k = 0, the Borel built directly from its shuffle."""
+    """Dual route: the pairing of classes must reproduce, for every
+    diagram at k = 0, the Borel built directly from its shuffle."""
     from oddbox.rect import all_diagrams
 
     for shape in (S23, S34, RectShape(1, 4)):
@@ -384,3 +388,53 @@ def test_borel_json_schema():
     assert obj["local"] == {"partition": [4, 1, 1], "k": 0}
     assert obj["nodes"][0] == {"root": "dbar - d1 + e3", "grey": True}
     assert len(obj["nodes"]) == 7
+
+
+@pytest.mark.parametrize(
+    "nm", [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3), (2, 5), (1, 4)], ids=lambda nm: f"{nm[0]}x{nm[1]}"
+)
+def test_borel_at_matches_search(nm):
+    """The closed form agrees with the search at every anchor of degree -2mn..2mn."""
+    shape = RectShape(*nm)
+    mn = shape.n * shape.m
+    found = oracle_borel_search(shape, -2 * mn, 2 * mn)
+    classes = sum(len(classes_at_degree(shape, d)) for d in range(-2 * mn, 2 * mn + 1))
+    assert len(found) == classes * shape.size
+    for pair, b in found.items():
+        assert borel_at(shape, pair) == b
+
+
+def test_borel_at_far_from_zero():
+    """Periodicity in k and the diagram invariants hold out to |k| = 10^6."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    shapes = [S23, S34, RectShape(2, 5), RectShape(5, 8), RectShape(7, 9)]
+
+    @st.composite
+    def anchors(draw):
+        shape = draw(st.sampled_from(shapes))
+        parts = draw(st.lists(st.integers(0, shape.m), min_size=shape.n, max_size=shape.n))
+        return shape, tuple(sorted(parts, reverse=True)), draw(st.integers(-10**6 + 500, 10**6 - 500))
+
+    @settings(deadline=None, max_examples=150)
+    @given(anchors(), st.integers(-5, 5))
+    def check(anchor, q):
+        shape, parts, k = anchor
+        b = borel_at(shape, (parts, k))
+        assert b.pair() == (parts, k)
+        assert b.dk.node_sum() == dbar_root(shape)
+        assert all(sum(row) == 0 for row in b.dk.gram())
+        greys = sum(b.dk.greys)
+        assert greys > 0 and greys % 2 == 0
+        assert dta_words(b.dk)[b.deleted] == b.word()
+        for nb in transitions(b):
+            assert nb == borel_at(shape, nb.pair())
+        turn = q * shape.m
+        far = borel_at(shape, (parts, k + q * shape.n * shape.m))
+        assert far.deleted == (b.deleted + turn) % shape.size
+        for t, r in enumerate(b.dk.nodes):
+            raised = GlobalRoot(r.eps, r.dels, r.dbar + q * sum(r.eps))
+            assert far.dk.nodes[(t + turn) % shape.size] == raised
+
+    check()

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from oddbox.cli import run
 
 
@@ -138,6 +140,13 @@ def test_borel_command(capsys):
     assert obj["words"][0] == "rddrrrd"
 
 
+@pytest.mark.parametrize("k", [10**6, -10**6])
+def test_borel_far_rotation_number(capsys, k):
+    assert run(["borel", "--n", "3", "--m", "4", "--partition", "0", f"--k={k}"]) == 0
+    out, _ = out_of(capsys)
+    assert f"borel of:      0,0,0 @ {k}" in out
+
+
 def test_borel_requires_coprime(capsys):
     assert run(["borel", "--n", "2", "--m", "4", "--partition", "1,1"]) == 1
     _, err = out_of(capsys)
@@ -149,6 +158,13 @@ def test_verify_command_passes(capsys):
     out, _ = out_of(capsys)
     assert "FAIL" not in out
     assert "checks passed" in out
+
+
+@pytest.mark.parametrize("window", ["3:3", "5:1"])
+def test_verify_rejects_empty_window(capsys, window):
+    assert run(["verify", "--n", "2", "--m", "3", f"--deg={window}"]) == 2
+    _, err = out_of(capsys)
+    assert "half-open" in err
 
 
 def test_verify_noncoprime_guard_section(capsys):
