@@ -244,7 +244,7 @@ def cmd_borel(args) -> int:
 def cmd_verify(args) -> int:
     shape = _shape(args)
     lo, hi = (None, None)
-    if args.deg:
+    if args.deg is not None:
         lo, hi = _parse_window(args.deg)
     results = verify.run_all(shape, lo, hi)
     width = max(len(r.name) for r in results)

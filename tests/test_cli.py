@@ -116,9 +116,8 @@ def test_graph_json(capsys):
     out, _ = out_of(capsys)
     obj = json.loads(out)
     assert len(obj["classes"]) == 14
-    assert {"src": "3,1@-4", "dst": "3,3@-1", "root": "+e2-d1"} in obj["edges"] or any(
-        e["root"] == "+e2-d1" for e in obj["edges"]
-    )
+    assert len(obj["edges"]) == 18
+    assert {"src": "3,2@-1", "dst": "3,3@-1", "root": "+e2-d1"} in obj["edges"]
 
 
 def test_graph_rejects_dot_elsewhere(capsys):
@@ -165,6 +164,12 @@ def test_verify_rejects_empty_window(capsys, window):
     assert run(["verify", "--n", "2", "--m", "3", f"--deg={window}"]) == 2
     _, err = out_of(capsys)
     assert "half-open" in err
+
+
+def test_verify_rejects_blank_window(capsys):
+    assert run(["verify", "--n", "2", "--m", "3", "--deg="]) == 2
+    _, err = out_of(capsys)
+    assert "LO:HI" in err
 
 
 def test_verify_noncoprime_guard_section(capsys):

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import CLASS_SHAPES
 from oddbox.orbit import (
     AnchoredPair,
+    OrbitClass,
     UndefinedMorphism,
     act,
-    act_row,
     admitting_reps,
     all_signed_roots,
     approx_decompose,
@@ -195,6 +195,7 @@ def test_approx_parts_match_row_closures():
 
 def test_row_class_chain_structure():
     rc = row_class(S23, ((0, 0), 0))
+    assert isinstance(rc, OrbitClass)
     assert rc.reps == (((3, 3), -6), ((3, 0), -3), ((0, 0), 0))
     for (p1, k1), (p2, k2) in zip(rc.reps, rc.reps[1:]):
         assert diagram_edge(S23, p1, "-r") == p2 and k2 == k1 + S23.m
@@ -202,7 +203,8 @@ def test_row_class_chain_structure():
     assert single.reps == (((2, 1), 0),)
 
 
-def test_act_row_consistent_with_act():
+def test_act_on_row_class_matches_act():
+    """A refinement class and its full class reach the same class under act."""
     shape = S23
     for d in range(0, 7):
         for parts in all_diagrams(shape):
@@ -213,16 +215,14 @@ def test_act_row_consistent_with_act():
             cls = enumerate_class(shape, (parts, k))
             for root in all_signed_roots(shape):
                 try:
-                    fine = act_row(rc, root)
+                    fine = act(rc, root)
                 except UndefinedMorphism:
                     fine = None
                 try:
                     coarse = act(cls, root)
                 except UndefinedMorphism:
                     coarse = None
-                assert (fine is None) == (coarse is None)
-                if fine is not None:
-                    assert enumerate_class(shape, fine.canonical).canonical == coarse.canonical
+                assert fine == coarse
 
 
 def test_vss_check_windows():

@@ -234,15 +234,6 @@ def test_one_by_one_box_supported_here():
     assert diagram_of_word(tiny, "rd") == (1,)
 
 
-def test_module_doctests():
-    import doctest
-
-    import oddbox.rect
-
-    failed, _ = doctest.testmod(oddbox.rect)
-    assert failed == 0
-
-
 @given(shape_and_word())
 def test_word_roundtrip_random(pair):
     shape, word = pair

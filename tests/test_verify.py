@@ -1,6 +1,6 @@
 import pytest
 
-from oddbox import affine
+from oddbox import affine, orbit
 from oddbox.rect import RectShape
 from oddbox.verify import run_all
 
@@ -47,3 +47,15 @@ def test_borel_equivariance_catches_a_skewed_coefficient(monkeypatch):
     results = {r.name: r for r in run_all(RectShape(2, 3))}
     assert not results["borel-equivariance"].ok
     assert "disagrees" in results["borel-equivariance"].detail
+
+
+def test_refinement_checks_catch_a_collapsed_row_class(monkeypatch):
+    """A row_class that drops every row move fails both refinement checks."""
+
+    def single(shape, pair):
+        return orbit.OrbitClass(shape, (orbit.AnchoredPair(tuple(pair[0]), pair[1]),))
+
+    monkeypatch.setattr(orbit, "row_class", single)
+    results = {r.name: r for r in run_all(RectShape(2, 3))}
+    assert not results["refinement-parts"].ok
+    assert not results["refinement-bijection"].ok
