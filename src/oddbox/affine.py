@@ -15,7 +15,9 @@ site one step corresponds to a row/column move on the local pair ("+r" and
 "-c" step forward, "-r" and "+c" step back) and never changes the cyclic
 diagram; reflecting at a grey node negates its vector, adds it to both
 cyclic neighbours, and applies the matching odd reflection to the local
-shuffle at a fixed k.
+shuffle at a fixed k.  The morphism s(e_i - d_j) acts on the cyclic
+diagram alone: it reflects at the node whose e and d coefficients are
+s(e_i - d_j), and is undefined when no node has them (``borel_act``).
 
 The Borel paired with an anchored pair (diagram, k) has a closed form.
 Split k = i*n + j*m - c*mn with 0 <= i < m and 0 <= j < n
@@ -43,11 +45,11 @@ from .rect import (
     Shuffle,
     ShapeUnsupported,
     check_diagram,
+    check_root,
     check_shuffle,
     diagram_of_shuffle,
     render_root,
     rotate_word,
-    rotated_root_at,
     shuffle_of_diagram,
     solve_rotation,
     word_of_shuffle,
@@ -177,6 +179,18 @@ class CyclicDK:
     def gram(self) -> list[list[int]]:
         return [[a.pair(b) for b in self.nodes] for a in self.nodes]
 
+    def reflect(self, node: int) -> "CyclicDK":
+        """Negate a grey node's vector and add it to both cyclic neighbours,
+        which keeps the node sum at dbar."""
+        gamma = self.nodes[node]
+        if not gamma.isotropic:
+            raise NotIsotropic(f"node {node} ({gamma.render()}) is not isotropic")
+        nodes = list(self.nodes)
+        nodes[node] = -gamma
+        for t in (node - 1, node + 1):
+            nodes[t % self.size] = nodes[t % self.size] + gamma
+        return CyclicDK(self.shape, tuple(nodes))
+
 
 @dataclass(frozen=True)
 class FiniteBorel:
@@ -251,65 +265,33 @@ def node_move(b: FiniteBorel, which: str) -> FiniteBorel:
     )
 
 
-def step_forward(b: FiniteBorel) -> FiniteBorel:
-    """Advance the deletion site by one; exactly one of "+r", "-c" applies."""
-    return node_move(b, "+r" if b.word().startswith("d") else "-c")
-
-
-def anchor_at(b: FiniteBorel, pair) -> FiniteBorel:
-    """Re-anchor at the given (diagram, k) representative."""
-    target = AnchoredPair(tuple(pair[0]), pair[1])
-    cur = b
-    for _ in range(b.dk.size):
-        if cur.pair() == target:
-            return cur
-        cur = step_forward(cur)
-    raise ValueError(f"{target} is not an anchor of this Borel")
-
-
 def affine_reflect(b: FiniteBorel, node: int) -> FiniteBorel:
-    """Odd reflection at a grey, undeleted node.
-
-    The node vector is negated, both cyclic neighbours gain it (the deleted
-    node included, keeping the node sum at dbar), and the local shuffle
-    swaps the two entries under the node at an unchanged rotation number.
-    """
+    """Odd reflection at a grey, undeleted node: ``CyclicDK.reflect``, and
+    the local shuffle swaps the two entries under the node at the same k."""
     size = b.dk.size
     node %= size
     if node == b.deleted:
         raise DeletedNode(f"node {node} is the deleted node")
-    gamma = b.dk.nodes[node]
-    if not gamma.isotropic:
-        raise NotIsotropic(f"node {node} ({gamma.render()}) is not isotropic")
-    nodes = list(b.dk.nodes)
-    nodes[node] = -gamma
-    nodes[(node - 1) % size] = nodes[(node - 1) % size] + gamma
-    nodes[(node + 1) % size] = nodes[(node + 1) % size] + gamma
+    dk = b.dk.reflect(node)
     pos = (node - b.deleted - 1) % size
     a, c = b.shuffle[pos], b.shuffle[pos + 1]
     if (a <= b.shape.n) == (c <= b.shape.n):
         raise ValueError("cyclic diagram out of sync: grey node over an even local root")
     shuf = list(b.shuffle)
     shuf[pos], shuf[pos + 1] = shuf[pos + 1], shuf[pos]
-    return FiniteBorel(CyclicDK(b.shape, tuple(nodes)), b.deleted, tuple(shuf), b.k)
+    return FiniteBorel(dk, b.deleted, tuple(shuf), b.k)
 
 
-def borel_act(b: FiniteBorel, root: OddRoot) -> FiniteBorel:
-    """Apply a groupoid morphism to a Borel.
+def borel_act(dk: CyclicDK, root: OddRoot) -> CyclicDK:
+    """Reflect at the node whose finite part (eps, dels) is s(e_i - d_j).
 
-    Walk the anchors of the class; at the first whose local simple roots
-    contain the rotated signed root, reflect at the matching node.
+    That node is grey, because dbar does not enter the form.
     """
-    shape = b.shape
-    cur = b
-    for _ in range(b.dk.size):
-        rot = rotated_root_at(shape, root, cur.k)
-        pairs = simple_roots(shape, cur.shuffle)
-        want = root_pair(shape, rot)
-        if want in pairs:
-            node = (cur.deleted + 1 + pairs.index(want)) % b.dk.size
-            return affine_reflect(cur, node)
-        cur = step_forward(cur)
+    check_root(dk.shape, root)
+    want = global_root_of_pair(dk.shape, root_pair(dk.shape, root))
+    for node, r in enumerate(dk.nodes):
+        if r.eps == want.eps and r.dels == want.dels:
+            return dk.reflect(node)
     raise UndefinedMorphism(f"{render_root(root)} undefined on this Borel")
 
 

@@ -54,8 +54,11 @@ def _emit(args, text_lines, json_obj) -> None:
 def _write(args, payload: str) -> None:
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(payload)
 

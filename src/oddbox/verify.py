@@ -317,8 +317,13 @@ def _pair_id(pair):
 def _borel_equivariance(shape, window):
     """The closed-form pairing starts at the extension of the distinguished
     shuffle and agrees with every node move and odd reflection out of every
-    anchor in the window; the class action is equivariant."""
+    anchor in the window.  The class action and the Borel action, which reads
+    only the cyclic diagram, agree on every class and root of the window, so
+    with ``borel-bijection`` making the vertex map a bijection, this is the
+    labelled Cayley-graph isomorphism on the window.  Each reflected diagram
+    keeps its node sum and its zero Gram row sums."""
     bad = []
+    one = affine.dbar_root(shape)
     zero = orbit.AnchoredPair((0,) * shape.n, 0)
     if affine.borel_at(shape, zero) != affine.extend(shape, rect.identity_shuffle(shape)):
         bad.append("the empty diagram at k = 0 is not the extension of the distinguished shuffle")
@@ -328,14 +333,14 @@ def _borel_equivariance(shape, window):
                 for nb in affine.transitions(affine.borel_at(shape, rep)):
                     if nb != affine.borel_at(shape, nb.pair()):
                         bad.append(f"a move or reflection from {_pair_id(rep)} disagrees at {_pair_id(nb.pair())}")
-            b = affine.borel_of_class(cls)
+            dk = affine.borel_of_class(cls).dk
             for root in orbit.all_signed_roots(shape):
                 try:
                     image = orbit.act(cls, root)
                 except orbit.UndefinedMorphism:
                     image = None
                 try:
-                    moved = affine.borel_act(b, root)
+                    moved = affine.borel_act(dk, root)
                 except orbit.UndefinedMorphism:
                     moved = None
                 if (image is None) != (moved is None):
@@ -343,7 +348,9 @@ def _borel_equivariance(shape, window):
                     continue
                 if image is None:
                     continue
-                if affine.borel_of_class(image).dk != moved.dk:
+                if moved.node_sum() != one or any(sum(row) != 0 for row in moved.gram()):
+                    bad.append(f"invariants fail after reflection at {orbit.class_id(cls)}, {rect.render_root(root)}")
+                if affine.borel_of_class(image).dk != moved:
                     bad.append(f"equivariance fails at {orbit.class_id(cls)}, {rect.render_root(root)}")
     return bad
 
@@ -353,7 +360,7 @@ def _noncoprime_guard(shape, window):
     for call in (
         lambda: orbit.enumerate_class(shape, ((0,) * shape.n, 0)),
         lambda: orbit.classes_at_degree(shape, 0),
-        lambda: affine.BorelAtlas(shape),
+        lambda: affine.borel_at(shape, ((0,) * shape.n, 0)),
     ):
         try:
             call()

@@ -3,13 +3,15 @@
 Class-level sweeps use one degree period [0, mn) unless the criterion names
 a window: the degree-shift bijection (checked in criterion 2) carries every
 class into that window, so the period is exhaustive up to that symmetry.
+Criteria 06-09 call the ``oddbox.verify`` checks that own their invariants,
+each over the criterion's own shapes and windows.
 """
 
 import time
 
 import pytest
 
-from oddbox import affine, orbit, rect, reflect
+from oddbox import affine, orbit, rect, reflect, verify
 
 SIX_SHAPES = [rect.RectShape(*nm) for nm in [(1, 2), (2, 3), (3, 4), (2, 5), (3, 5), (4, 5)]]
 COPRIME_9 = [
@@ -127,8 +129,7 @@ GLH_TABLE = [
 def test_04_global_name_table_reproduction():
     bad = []
     for pair, expected in GLH_TABLE:
-        cls = orbit.enumerate_class(S34, pair)
-        b = affine.anchor_at(affine.borel_of_class(cls), pair)
+        b = affine.borel_at(S34, pair)
         got = [r.render() for r in b.simple_global()]
         if got != expected:
             bad.append(f"{pair}: {got}")
@@ -156,83 +157,23 @@ def test_05_word_extraction_reproduction():
 def test_06_identity_suites():
     bad = []
     for shape in COPRIME_9:
-        nu = lambda r: rect.rotate_root(shape, r, 0, 1)
-        eta = lambda r: rect.rotate_root(shape, r, 1, 0)
-        for parts in rect.all_diagrams(shape):
-            word = rect.word_of_diagram(shape, parts)
-            shuf = rect.shuffle_of_word(shape, word)
-            flags = reflect.edge_flags(shape, parts)
-            for root in orbit.all_signed_roots(shape):
-                if not reflect.admits(shape, parts, root):
-                    for apply_fn, arg in ((reflect.p_apply, word), (reflect.r_apply, shuf)):
-                        try:
-                            apply_fn(shape, arg, root)
-                            bad.append(f"{shape} {parts} {rect.render_root(root)}: defined on one carrier only")
-                        except reflect.NotSimple:
-                            pass
-                    continue
-                moved = reflect.t_apply(shape, parts, root)
-                moved_word = reflect.p_apply(shape, word, root)
-                moved_shuf = reflect.r_apply(shape, shuf, root)
-                if rect.word_of_diagram(shape, moved) != moved_word:
-                    bad.append(f"{shape} {parts}: diagram/word square")
-                if rect.shuffle_of_word(shape, moved_word) != moved_shuf:
-                    bad.append(f"{shape} {parts}: word/shuffle square")
-                if reflect.t_apply(shape, moved, root.negated()) != parts:
-                    bad.append(f"{shape} {parts}: involution")
-                if root.sign > 0:
-                    for which, turn, eligible in (
-                        ("-r", nu, flags.row_full),
-                        ("-c", eta, flags.col_full),
-                    ):
-                        if not eligible:
-                            continue
-                        down = reflect.diagram_edge(shape, parts, which)
-                        turned = turn(root)
-                        if not reflect.admits(shape, down, turned):
-                            bad.append(f"{shape} {parts} {which}: turned root rejected")
-                            continue
-                        if reflect.diagram_edge(shape, moved, which) != reflect.t_apply(shape, down, turned):
-                            bad.append(f"{shape} {parts} {which}: diagram compatibility")
-                        if reflect.word_edge(shape, moved_word, which) != reflect.p_apply(
-                            shape, reflect.word_edge(shape, word, which), turned
-                        ):
-                            bad.append(f"{shape} {parts} {which}: word compatibility")
-                        if reflect.shuffle_edge(shape, moved_shuf, which) != reflect.r_apply(
-                            shape, reflect.shuffle_edge(shape, shuf, which), turned
-                        ):
-                            bad.append(f"{shape} {parts} {which}: shuffle compatibility")
+        for check in (verify._corner_actions, verify._row_col_compat):
+            bad.extend(f"{shape}: {v}" for v in check(shape, None))
     report(6, bad, f"[{len(COPRIME_9)} shapes]")
 
 
 def test_07_action_well_defined():
     bad = []
     for shape in CLASS_9:
-        mn = shape.n * shape.m
-        for d in range(0, mn):
-            for cls in orbit.classes_at_degree(shape, d):
-                for root in orbit.all_signed_roots(shape):
-                    targets = {
-                        orbit.enumerate_class(
-                            shape, (reflect.t_apply(shape, rep.diagram, rot), rep.k)
-                        ).canonical
-                        for rep, rot in orbit.admitting_reps(cls, root)
-                    }
-                    if len(targets) > 1:
-                        bad.append(f"{shape} {orbit.class_id(cls)} {rect.render_root(root)}")
+        bad.extend(f"{shape}: {v}" for v in verify._action_well_defined(shape, (0, shape.n * shape.m)))
     report(7, bad, f"[{len(CLASS_9)} shapes]")
 
 
 def test_08_refinement_and_bijection():
     bad = []
     for shape, hi in ((S23, 6), (S34, 11)):
-        for d in range(0, shape.n * shape.m):
-            for cls in orbit.classes_at_degree(shape, d):
-                split = orbit.approx_decompose(cls)
-                if len(split) != shape.m or any(not part for part in split):
-                    bad.append(f"{shape} {orbit.class_id(cls)}: bad refinement split")
-        report_obj = orbit.vss_check(shape, 0, hi)
-        bad.extend(f"{shape}: {v}" for v in report_obj.violations)
+        bad.extend(f"{shape}: {v}" for v in verify._approx_parts(shape, (0, shape.n * shape.m)))
+        bad.extend(f"{shape}: {v}" for v in verify._vss(shape, (0, hi + 1)))
     report(8, bad)
 
 
@@ -240,40 +181,8 @@ def test_09_borel_pairing():
     bad = []
     for shape in (S23, S34):
         mn = shape.n * shape.m
-        atlas = affine.BorelAtlas(shape)
-        one = affine.dbar_root(shape)
-        seen = {}
-        for d in range(-mn, mn + 1):
-            for cls in orbit.classes_at_degree(shape, d):
-                b = atlas.borel_of_class(cls)
-                if b.dk.node_sum() != one:
-                    bad.append(f"{shape} {orbit.class_id(cls)}: node sum")
-                if any(sum(row) != 0 for row in b.dk.gram()):
-                    bad.append(f"{shape} {orbit.class_id(cls)}: gram row sums")
-                key = tuple(sorted(b.dk.nodes))
-                if key in seen:
-                    bad.append(f"{shape}: {orbit.class_id(cls)} collides with {seen[key]}")
-                seen[key] = orbit.class_id(cls)
-                if affine.class_of_borel(b).canonical != cls.canonical:
-                    bad.append(f"{shape} {orbit.class_id(cls)}: inverse fails")
-                for root in orbit.all_signed_roots(shape):
-                    try:
-                        image = orbit.act(cls, root)
-                    except orbit.UndefinedMorphism:
-                        image = None
-                    try:
-                        moved = affine.borel_act(b, root)
-                    except orbit.UndefinedMorphism:
-                        moved = None
-                    if (image is None) != (moved is None):
-                        bad.append(f"{shape} {orbit.class_id(cls)} {rect.render_root(root)}: definedness")
-                        continue
-                    if image is None:
-                        continue
-                    if moved.dk.node_sum() != one or any(sum(row) != 0 for row in moved.dk.gram()):
-                        bad.append(f"{shape} {orbit.class_id(cls)} {rect.render_root(root)}: invariants after reflection")
-                    if atlas.borel_of_class(image).dk != moved.dk:
-                        bad.append(f"{shape} {orbit.class_id(cls)} {rect.render_root(root)}: equivariance")
+        for check in (verify._borel_invariants, verify._borel_bijection, verify._borel_equivariance):
+            bad.extend(f"{shape}: {v}" for v in check(shape, (-mn, mn + 1)))
     report(9, bad)
 
 
@@ -305,7 +214,7 @@ def test_10_noncoprime_guard():
         lambda: orbit.classes_at_degree(shape, 0),
         lambda: orbit.build_graph(shape, 0, 1),
         lambda: orbit.vss_check(shape, 0, 1),
-        lambda: affine.BorelAtlas(shape),
+        lambda: affine.borel_at(shape, ((0, 0), 0)),
     ):
         with pytest.raises(rect.NonCoprimeShape):
             call()

@@ -7,7 +7,6 @@ from oddbox.affine import (
     NotIsotropic,
     NotTypeA,
     affine_reflect,
-    anchor_at,
     basis_root,
     borel_act,
     borel_at,
@@ -20,7 +19,6 @@ from oddbox.affine import (
     global_root_of_pair,
     gram,
     node_move,
-    step_forward,
     transitions,
     words_from_greys,
 )
@@ -148,18 +146,16 @@ def test_node_move_directions_and_inverses():
         node_move(b, "++r")
 
 
-def test_anchor_walks_the_full_cycle():
-    b = extend(S23, identity_shuffle(S23))
-    cur = b
-    seen = set()
-    for _ in range(5):
-        seen.add(cur.pair())
-        assert cur.dk == b.dk
-        cur = step_forward(cur)
-    assert cur == b
-    assert seen == set(enumerate_class(S23, ((0, 0), 0)).reps)
-    re_anchored = anchor_at(b, ((2, 2), -4))
-    assert re_anchored.pair() == ((2, 2), -4)
+def test_borel_at_is_one_diagram_on_a_class():
+    """Every anchor of a class has the same cyclic diagram, deleted at a
+    different node each time."""
+    dk = extend(S23, identity_shuffle(S23)).dk
+    deleted = set()
+    for rep in enumerate_class(S23, ((0, 0), 0)).reps:
+        b = borel_at(S23, rep)
+        assert b.dk == dk and b.pair() == rep
+        deleted.add(b.deleted)
+    assert deleted == set(range(5))
 
 
 def test_node_move_keeps_local_in_same_class():
@@ -262,7 +258,7 @@ def test_atlas_base_point():
     b = borel_of_class(base_class)
     reference = extend(S23, identity_shuffle(S23))
     assert b.dk == reference.dk
-    assert anchor_at(b, ((0, 0), 0)) == reference
+    assert borel_at(S23, ((0, 0), 0)) == reference
 
 
 def test_borel_class_roundtrip():
@@ -280,11 +276,9 @@ def test_class_of_borel_rejects_desynced_input():
 
 
 def test_borel_of_class_matches_global_name_table():
-    cls = enumerate_class(S34, ((4, 1, 1), 0))
-    b = anchor_at(borel_of_class(cls), ((4, 1, 1), 0))
+    b = borel_at(S34, ((4, 1, 1), 0))
     assert [r.render() for r in b.simple_global()] == GLH_ROWS["hook"]
-    empty7 = enumerate_class(S34, ((0, 0, 0), 7))
-    b7 = anchor_at(borel_of_class(empty7), ((0, 0, 0), 7))
+    b7 = borel_at(S34, ((0, 0, 0), 7))
     assert [r.render() for r in b7.simple_global()] == GLH_ROWS["empty_seven"]
 
 
@@ -292,13 +286,14 @@ def test_borel_act_equivariance_spot():
     from oddbox.orbit import admitting_reps
 
     cls = enumerate_class(S23, ((3, 1), 0))
-    b = borel_of_class(cls)
+    dk = borel_of_class(cls).dk
     root = OddRoot(1, 2, 1)
-    moved = borel_act(b, root)
-    assert moved.dk == borel_of_class(act(cls, root)).dk
+    assert borel_act(dk, root) == borel_of_class(act(cls, root)).dk
     undefined = next(r for r in all_signed_roots(S23) if not admitting_reps(cls, r))
     with pytest.raises(UndefinedMorphism):
-        borel_act(b, undefined)
+        borel_act(dk, undefined)
+    with pytest.raises(ValueError, match="out of range"):
+        borel_act(dk, OddRoot(1, 3, 1))
 
 
 def test_atlas_distinct_diagrams_over_window():
@@ -328,7 +323,8 @@ def test_atlas_replay_matches_direct_extension():
         for parts in all_diagrams(shape):
             direct = extend(shape, shuffle_of_diagram(shape, parts))
             cls = enumerate_class(shape, (parts, 0))
-            assert anchor_at(atlas.borel_of_class(cls), (parts, 0)) == direct
+            assert atlas.borel_of_class(cls).dk == direct.dk
+            assert borel_at(shape, (parts, 0)) == direct
 
 
 def test_equivariance_sampled_on_larger_shape():
@@ -336,15 +332,15 @@ def test_equivariance_sampled_on_larger_shape():
     atlas = BorelAtlas(shape)
     for d in (0, 3, 7):
         for cls in classes_at_degree(shape, d)[:3]:
-            b = atlas.borel_of_class(cls)
+            dk = atlas.borel_of_class(cls).dk
             for root in all_signed_roots(shape)[::4]:
                 try:
                     image = act(cls, root)
                 except UndefinedMorphism:
                     with pytest.raises(UndefinedMorphism):
-                        borel_act(b, root)
+                        borel_act(dk, root)
                     continue
-                assert borel_act(b, root).dk == atlas.borel_of_class(image).dk
+                assert borel_act(dk, root) == atlas.borel_of_class(image).dk
 
 
 def test_random_walk_preserves_diagram_invariants():
@@ -382,7 +378,7 @@ def test_random_walk_preserves_diagram_invariants():
 
 
 def test_borel_json_schema():
-    b = anchor_at(borel_of_class(enumerate_class(S34, ((4, 1, 1), 0))), ((4, 1, 1), 0))
+    b = borel_at(S34, ((4, 1, 1), 0))
     obj = borel_json(b)
     assert obj["deleted"] == 0
     assert obj["local"] == {"partition": [4, 1, 1], "k": 0}

@@ -185,3 +185,14 @@ def test_determinism(capsys):
     assert run(args) == 0
     second, _ = out_of(capsys)
     assert first == second
+
+
+def test_out_to_missing_directory_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    args = ["graph", "--n", "2", "--m", "3", "--deg", "0:2", "--format", "json", "--out", str(target)]
+    assert run(args) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("usage error:") and str(target) in err
+    assert not target.exists()

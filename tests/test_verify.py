@@ -1,6 +1,6 @@
 import pytest
 
-from oddbox import affine, orbit
+from oddbox import affine, orbit, reflect
 from oddbox.rect import RectShape
 from oddbox.verify import run_all
 
@@ -47,6 +47,24 @@ def test_borel_equivariance_catches_a_skewed_coefficient(monkeypatch):
     results = {r.name: r for r in run_all(RectShape(2, 3))}
     assert not results["borel-equivariance"].ok
     assert "disagrees" in results["borel-equivariance"].detail
+
+
+def test_borel_equivariance_catches_a_reflection_at_the_wrong_node(monkeypatch):
+    """Reflecting at the next grey node in cyclic order, not at the node
+    named by the root, fails the check."""
+    exact = affine.borel_act
+
+    def next_grey(dk, root):
+        exact(dk, root)  # keeps definedness exact
+        want = affine.global_root_of_pair(dk.shape, reflect.root_pair(dk.shape, root))
+        node = next(t for t, r in enumerate(dk.nodes) if (r.eps, r.dels) == (want.eps, want.dels))
+        greys = [t for t, grey in enumerate(dk.greys) if grey]
+        return dk.reflect(greys[(greys.index(node) + 1) % len(greys)])
+
+    monkeypatch.setattr(affine, "borel_act", next_grey)
+    results = {r.name: r for r in run_all(RectShape(2, 3))}
+    assert not results["borel-equivariance"].ok
+    assert "equivariance fails" in results["borel-equivariance"].detail
 
 
 def test_refinement_checks_catch_a_collapsed_row_class(monkeypatch):
