@@ -43,6 +43,7 @@ from .reflect import (
 )
 from .orbit import (
     AnchoredPair,
+    GraphTooLarge,
     MorphismGraph,
     OrbitClass,
     UndefinedMorphism,

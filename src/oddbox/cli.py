@@ -206,14 +206,12 @@ def cmd_graph(args) -> int:
         return 0
     lines = [f"{args.mode} graph, degrees {lo}..{hi}: "
              f"{len(graph.vertices)} classes, {len(graph.edges)} edges"]
+    layers = orbit.graph_layers(graph)
     for d in range(lo, hi + 1):
-        ids = [orbit.class_id(c) for c in graph.vertices if c.degree == d]
-        lines.append(f"degree {d}: " + " ".join(ids))
+        lines.append(f"degree {d}: " + " ".join(orbit.class_id(c) for c in layers.get(d, ())))
+    ids = [orbit.class_id(c) for c in graph.vertices]
     for a, b, root in graph.edges:
-        lines.append(
-            f"{orbit.class_id(graph.vertices[a])} -> {orbit.class_id(graph.vertices[b])}"
-            f"  [{render_root(root)}]"
-        )
+        lines.append(f"{ids[a]} -> {ids[b]}  [{render_root(root)}]")
     _write(args, "\n".join(lines) + "\n")
     return 0
 

@@ -19,11 +19,17 @@ Row moves alone refine each class into m chains (``row_class``).  A chain
 is an ``OrbitClass`` too, and ``act`` takes it to the full class of the
 moved pair, which is how ``vss_check`` compares the two actions.
 
-Class enumeration and graph building are embarrassingly parallel over
-vertices; everything here is an immutable value.
+Shifting every rotation number by one, ``(diagram, k) -> (diagram, k + 1)``,
+maps the classes of degree d onto those of degree d + 1 and commutes with the
+action up to a fixed rotation of the roots: ``act(c.shifted(1), r)`` is
+``act(c, rho(r)).shifted(1)`` with ``rho`` the root rotation of k = 1.  So
+``build_graph`` computes one degree's edges and relabels them for every other
+degree of its window; the ``degree-shift`` check of the verification suite
+tests both facts.  Everything here is an immutable value.
 """
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import comb
 from typing import NamedTuple
 
@@ -39,7 +45,9 @@ from .rect import (
     diagram_of_word,
     render_diagram,
     render_root,
+    rotate_root,
     rotated_root_at,
+    solve_rotation,
     word_of_diagram,
 )
 from .reflect import admits, t_apply
@@ -47,6 +55,16 @@ from .reflect import admits, t_apply
 
 class UndefinedMorphism(DomainError):
     """No representative of the class admits the (rotated) signed root."""
+
+
+class GraphTooLarge(DomainError):
+    """The degree window holds more classes than ``MAX_GRAPH_VERTICES``."""
+
+
+# Refusing a graph before building it keeps huge boxes and windows from
+# hanging or exhausting memory; the largest graph the tests and the
+# benchmark build has 1 260 vertices.
+MAX_GRAPH_VERTICES = 10_000
 
 
 def require_class_shape(shape: RectShape) -> None:
@@ -94,6 +112,10 @@ class OrbitClass:
 
     def __contains__(self, pair) -> bool:
         return AnchoredPair(tuple(pair[0]), pair[1]) in self.reps
+
+    def shifted(self, s: int) -> "OrbitClass":
+        """Every rotation number raised by s, representatives in the same order."""
+        return OrbitClass(self.shape, tuple(AnchoredPair(p.diagram, p.k + s) for p in self.reps))
 
 
 def edge_shift(shape: RectShape, which: str) -> int:
@@ -278,9 +300,10 @@ def vss_check(shape: RectShape, lo: int, hi: int) -> VssReport:
 class MorphismGraph:
     """Classes in a degree window with their morphism edges.
 
-    Edges are (source index, target index, signed root); hasse mode keeps
-    positive roots only, so every edge raises degree by one.  Vertices
-    outside the window are dropped together with their incident edges.
+    Vertices are sorted by degree.  Edges are (source index, target index,
+    signed root); hasse mode keeps positive roots only, so every edge raises
+    degree by one.  Vertices outside the window are dropped together with
+    their incident edges.
     """
 
     shape: RectShape
@@ -292,28 +315,55 @@ class MorphismGraph:
 
 
 def build_graph(shape: RectShape, lo: int, hi: int, mode: str = "hasse") -> MorphismGraph:
+    """The classes of degrees lo..hi (inclusive) and their morphism edges.
+
+    Only degree lo is enumerated and acted on.  The vertex for shift
+    s = 0..hi-lo and base class t is base class t shifted by s, at index
+    s*P + t for P classes per degree.  Its edge by root r is the base edge by
+    r rotated s times by ``solve_rotation(shape, 1)``, shifted by s; the
+    target keeps its canonical diagram, which names it among the P classes of
+    its degree.  Windows of more than ``MAX_GRAPH_VERTICES`` classes raise
+    ``GraphTooLarge`` before any class is enumerated.
+    """
     if mode not in ("hasse", "cayley"):
         raise ValueError(f"mode must be hasse or cayley, got {mode!r}")
     require_class_shape(shape)
     if lo > hi:
         raise ValueError(f"empty degree window {lo}:{hi}")
-    vertices: list[OrbitClass] = []
-    for d in range(lo, hi + 1):
-        vertices.extend(classes_at_degree(shape, d))
-    vertices.sort(key=lambda c: (c.degree, c.canonical))
-    index = {c.canonical: t for t, c in enumerate(vertices)}
-    signs = (1,) if mode == "hasse" else (1, -1)
-    edges = set()
-    for t, cls in enumerate(vertices):
-        for root in all_signed_roots(shape, signs):
+    per_degree, span = classes_per_degree(shape), hi - lo + 1
+    if per_degree * span > MAX_GRAPH_VERTICES:
+        raise GraphTooLarge(
+            f"degrees {lo}..{hi} of the {shape.n}x{shape.m} box hold {per_degree * span} "
+            f"classes, more than the {MAX_GRAPH_VERTICES} a graph may have"
+        )
+    base = classes_at_degree(shape, lo)
+    rank = {c.canonical.diagram: t for t, c in enumerate(base)}
+    roots = all_signed_roots(shape, (1,) if mode == "hasse" else (1, -1))
+    targets: dict[tuple[int, OddRoot], int] = {}
+    for t, cls in enumerate(base):
+        for root in roots:
             try:
-                target = act(cls, root)
+                targets[t, root] = rank[act(cls, root).canonical.diagram]
             except UndefinedMorphism:
+                pass
+    i1, j1 = solve_rotation(shape, 1)
+    edges = []
+    for s in range(span):
+        for root in roots:
+            if not 0 <= s + root.sign < span:
                 continue
-            u = index.get(target.canonical)
-            if u is not None:
-                edges.add((t, u, root))
-    return MorphismGraph(shape, mode, lo, hi, tuple(vertices), tuple(sorted(edges)))
+            seen_from = rotate_root(shape, root, s * i1, s * j1)
+            for t in range(per_degree):
+                u = targets.get((t, seen_from))
+                if u is not None:
+                    edges.append((s * per_degree + t, (s + root.sign) * per_degree + u, root))
+    vertices = tuple(c.shifted(s) for s in range(span) for c in base)
+    return MorphismGraph(shape, mode, lo, hi, vertices, tuple(sorted(edges)))
+
+
+def graph_layers(graph: MorphismGraph) -> dict[int, tuple[OrbitClass, ...]]:
+    """The vertices grouped by degree, in one pass over the sorted vertices."""
+    return {d: tuple(group) for d, group in groupby(graph.vertices, key=lambda c: c.degree)}
 
 
 def class_id(cls: OrbitClass) -> str:
@@ -337,6 +387,7 @@ def class_json(cls: OrbitClass) -> dict:
 
 
 def graph_json(graph: MorphismGraph) -> dict:
+    ids = [class_id(c) for c in graph.vertices]
     return {
         "n": graph.shape.n,
         "m": graph.shape.m,
@@ -344,11 +395,7 @@ def graph_json(graph: MorphismGraph) -> dict:
         "degrees": [graph.lo, graph.hi],
         "classes": [class_json(c) for c in graph.vertices],
         "edges": [
-            {
-                "src": class_id(graph.vertices[a]),
-                "dst": class_id(graph.vertices[b]),
-                "root": render_root(root),
-            }
+            {"src": ids[a], "dst": ids[b], "root": render_root(root)}
             for a, b, root in graph.edges
         ],
     }
@@ -359,18 +406,14 @@ def graph_dot(graph: MorphismGraph) -> str:
     lines = ["digraph classes {"]
     if graph.mode == "hasse":
         lines.append("  rankdir=LR;")
-    for cls in graph.vertices:
+    ids = [class_id(c) for c in graph.vertices]
+    for cid, cls in zip(ids, graph.vertices):
         label = f"{render_diagram(cls.canonical.diagram)}^{cls.canonical.k}"
-        lines.append(f'  "{class_id(cls)}" [label="{label}"];')
+        lines.append(f'  "{cid}" [label="{label}"];')
     if graph.mode == "hasse":
-        for d in range(graph.lo, graph.hi + 1):
-            ids = [class_id(c) for c in graph.vertices if c.degree == d]
-            if ids:
-                lines.append("  { rank=same; " + " ".join(f'"{i}";' for i in ids) + " }")
+        for layer in graph_layers(graph).values():
+            lines.append("  { rank=same; " + " ".join(f'"{class_id(c)}";' for c in layer) + " }")
     for a, b, root in graph.edges:
-        lines.append(
-            f'  "{class_id(graph.vertices[a])}" -> "{class_id(graph.vertices[b])}"'
-            f' [label="{render_root(root)}"];'
-        )
+        lines.append(f'  "{ids[a]}" -> "{ids[b]}" [label="{render_root(root)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

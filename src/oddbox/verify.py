@@ -252,6 +252,45 @@ def _degree_counts(shape, window):
     return bad
 
 
+def _degree_shift(shape, window):
+    """Raising every rotation number by one maps the classes of degree d onto
+    those of degree d + 1, and ``act(c.shifted(1), r)`` equals
+    ``act(c, rho(r)).shifted(1)``, undefined matching undefined, where rho
+    rotates roots by ``solve_rotation(shape, 1)``.  Checked from every degree
+    d of the window to d + 1, computing each degree's acts once."""
+    bad = []
+    i1, j1 = rect.solve_rotation(shape, 1)
+    roots = orbit.all_signed_roots(shape)
+
+    def acts(d):
+        classes = orbit.classes_at_degree(shape, d)
+        images = {}
+        for cls in classes:
+            for root in roots:
+                try:
+                    images[cls, root] = orbit.act(cls, root)
+                except orbit.UndefinedMorphism:
+                    images[cls, root] = None
+        return classes, images
+
+    lo, hi = window
+    below, before = acts(lo)
+    for d in range(lo, hi):
+        above, after = acts(d + 1)
+        if {cls.shifted(1) for cls in below} != set(above):
+            bad.append(f"degree {d} does not shift onto degree {d + 1}")
+        for cls in below:
+            up = cls.shifted(1)
+            for root in roots:
+                if (up, root) not in after:
+                    continue
+                image = before[cls, rect.rotate_root(shape, root, i1, j1)]
+                if after[up, root] != (None if image is None else image.shifted(1)):
+                    bad.append(f"{rect.render_root(root)} does not commute with the shift at {orbit.class_id(cls)}")
+        below, before = above, after
+    return bad
+
+
 def _approx_parts(shape, window):
     bad = []
     for d in range(*window):
@@ -398,6 +437,7 @@ _CLASS_LEVEL = (
     ("action-well-defined", _action_well_defined),
     ("plain-embedding", _plain_embedding),
     ("degree-counts", _degree_counts),
+    ("degree-shift", _degree_shift),
     ("refinement-parts", _approx_parts),
     ("refinement-bijection", _vss),
     ("borel-invariants", _borel_invariants),

@@ -3,6 +3,13 @@
 from collections import deque
 
 from oddbox.affine import affine_reflect, extend, node_move
+from oddbox.orbit import (
+    MorphismGraph,
+    UndefinedMorphism,
+    act,
+    all_signed_roots,
+    classes_at_degree,
+)
 from oddbox.rect import RectShape, identity_shuffle
 from oddbox.reflect import NotEligible
 
@@ -97,3 +104,29 @@ def oracle_borel_search(shape, lo, hi, margin=2):
             else:
                 assert prev == nb, f"anchor {nb.pair()} reached with two different diagrams"
     return {pair: b for pair, b in seen.items() if lo <= pair.degree() <= hi}
+
+
+def oracle_build_graph(shape, lo, hi, mode):
+    """The graph of degrees lo..hi built vertex by vertex.
+
+    Every degree of the window is enumerated on its own and every class is
+    acted on by every root of the mode; an edge is kept when its target lies
+    in the window.
+    """
+    vertices = []
+    for d in range(lo, hi + 1):
+        vertices.extend(classes_at_degree(shape, d))
+    vertices.sort(key=lambda c: (c.degree, c.canonical))
+    index = {c.canonical: t for t, c in enumerate(vertices)}
+    signs = (1,) if mode == "hasse" else (1, -1)
+    edges = set()
+    for t, cls in enumerate(vertices):
+        for root in all_signed_roots(shape, signs):
+            try:
+                target = act(cls, root)
+            except UndefinedMorphism:
+                continue
+            u = index.get(target.canonical)
+            if u is not None:
+                edges.add((t, u, root))
+    return MorphismGraph(shape, mode, lo, hi, tuple(vertices), tuple(sorted(edges)))

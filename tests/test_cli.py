@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -118,6 +119,23 @@ def test_graph_json(capsys):
     assert len(obj["classes"]) == 14
     assert len(obj["edges"]) == 18
     assert {"src": "3,2@-1", "dst": "3,3@-1", "root": "+e2-d1"} in obj["edges"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "13", "--m", "17", "--deg", "0:0"],
+        ["--n", "2", "--m", "3", "--deg", "0:100000000"],
+    ],
+)
+def test_graph_over_the_vertex_cap_is_refused_promptly(capsys, argv):
+    start = time.perf_counter()
+    assert run(["graph", *argv]) == 1
+    assert time.perf_counter() - start < 0.5
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error[GraphTooLarge]:")
 
 
 def test_graph_rejects_dot_elsewhere(capsys):

@@ -3,9 +3,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CLASS_SHAPES
+from conftest import CLASS_SHAPES, oracle_build_graph
+from oddbox import orbit
 from oddbox.orbit import (
     AnchoredPair,
+    GraphTooLarge,
     OrbitClass,
     UndefinedMorphism,
     act,
@@ -299,6 +301,51 @@ def test_graph_rejects_bad_arguments():
         build_graph(S23, 3, 0, "hasse")
     with pytest.raises(NonCoprimeShape):
         build_graph(RectShape(2, 4), 0, 3)
+
+
+@pytest.mark.parametrize("mode", ["hasse", "cayley"])
+@pytest.mark.parametrize("shape", CLASS_SHAPES, ids=lambda s: f"{s.n}x{s.m}")
+def test_build_graph_matches_vertex_by_vertex_oracle(shape, mode):
+    """The shifted build of one degree equals the per-degree build on windows
+    that start below zero, hold a single degree or span more than a period."""
+    mn = shape.n * shape.m
+    for lo, hi in ((-mn - 2, mn + 1), (-3, -3), (5, 5), (-1, 2 * mn)):
+        got = graph_json(build_graph(shape, lo, hi, mode))
+        assert got == graph_json(oracle_build_graph(shape, lo, hi, mode)), (lo, hi)
+
+
+def test_build_graph_acts_on_one_degree_only(monkeypatch):
+    calls = {"classes_at_degree": 0, "act": 0}
+
+    def counting(name):
+        exact = getattr(orbit, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return exact(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(orbit, name, counting(name))
+    graph = build_graph(S34, -20, 30, "cayley")
+    assert len(graph.vertices) == 51 * classes_per_degree(S34)
+    assert calls["classes_at_degree"] == 1
+    assert calls["act"] <= classes_per_degree(S34) * len(all_signed_roots(S34))
+
+
+def test_build_graph_refuses_windows_over_the_vertex_cap(monkeypatch):
+    monkeypatch.setattr(orbit, "MAX_GRAPH_VERTICES", 10)
+    assert len(build_graph(S23, 0, 4).vertices) == 10
+    with pytest.raises(GraphTooLarge, match="12 classes"):
+        build_graph(S23, 0, 5)
+
+
+def test_shifted_class_is_the_class_of_the_shifted_pair():
+    for shape in (S23, S34):
+        for cls in classes_at_degree(shape, 0):
+            for s in (-7, 1, 13):
+                assert cls.shifted(s) == enumerate_class(shape, (cls.canonical.diagram, cls.canonical.k + s))
 
 
 def test_graph_json_and_dot_output():

@@ -8,7 +8,7 @@ from oddbox.verify import run_all
 @pytest.mark.parametrize("nm", [(2, 3), (1, 2), (3, 4)])
 def test_suite_passes_on_coprime_shapes(nm):
     results = run_all(RectShape(*nm))
-    assert len(results) == 16
+    assert len(results) == 17
     failures = [r for r in results if not r.ok]
     assert not failures, failures
 
@@ -77,3 +77,20 @@ def test_refinement_checks_catch_a_collapsed_row_class(monkeypatch):
     results = {r.name: r for r in run_all(RectShape(2, 3))}
     assert not results["refinement-parts"].ok
     assert not results["refinement-bijection"].ok
+
+
+def test_degree_shift_catches_an_action_that_sees_the_parity_of_k(monkeypatch):
+    """An act that tries only the canonical representative on classes of odd
+    canonical k misses the roots that representative does not admit; the
+    shift by one turns odd k into even, so the two sides disagree."""
+    exact = orbit.act
+
+    def canonical_only(cls, root):
+        if cls.canonical.k % 2 == 0:
+            return exact(cls, root)
+        return exact(orbit.OrbitClass(cls.shape, cls.reps[:1]), root)
+
+    monkeypatch.setattr(orbit, "act", canonical_only)
+    results = {r.name: r for r in run_all(RectShape(2, 3))}
+    assert not results["degree-shift"].ok
+    assert "does not commute with the shift" in results["degree-shift"].detail
