@@ -35,7 +35,6 @@ from .reflect import (
     diagram_edge,
     edge_flags,
     p_apply,
-    pseudo_corners,
     r_apply,
     simple_roots,
     t_apply,
@@ -52,7 +51,6 @@ from .orbit import (
     build_graph,
     classes_at_degree,
     enumerate_class,
-    vss_check,
 )
 from .affine import (
     BorelAtlas,

@@ -19,7 +19,6 @@ from .rect import (
     parse_diagram,
     parse_root,
     parse_shuffle,
-    parse_word,
     diagram_of_shuffle,
     diagram_of_word,
     render_diagram,
@@ -28,7 +27,7 @@ from .rect import (
     shuffle_of_diagram,
     word_of_diagram,
 )
-from .reflect import edge_flags, pseudo_corners, corners
+from .reflect import edge_flags, corners
 
 
 def _shape(args) -> RectShape:
@@ -39,7 +38,7 @@ def _input_diagram(shape, args):
     if args.partition is not None:
         return parse_diagram(shape, args.partition)
     if args.word is not None:
-        return diagram_of_word(shape, parse_word(shape, args.word))
+        return diagram_of_word(shape, args.word)
     return diagram_of_shuffle(shape, parse_shuffle(shape, args.shuffle))
 
 
@@ -93,7 +92,6 @@ def cmd_corners(args) -> int:
     shape = _shape(args)
     parts = _input_diagram(shape, args)
     outer, inner = corners(shape, parts)
-    pseudo_out, pseudo_in = pseudo_corners(shape, parts)
     flags = edge_flags(shape, parts)
     _emit(
         args,
@@ -101,8 +99,8 @@ def cmd_corners(args) -> int:
             f"partition:     {render_diagram(parts)}",
             "outer:         " + (" ".join(render_root(r) for r in outer) or "-"),
             "inner:         " + (" ".join(render_root(r.negated()) for r in inner) or "-"),
-            f"pseudo-outer:  {str(pseudo_out).lower()}",
-            f"pseudo-inner:  {str(pseudo_in).lower()}",
+            f"pseudo-outer:  {str(flags.contains_hook).lower()}",
+            f"pseudo-inner:  {str(flags.reduced).lower()}",
             f"row-full:      {str(flags.row_full).lower()}",
             f"row-empty:     {str(flags.row_empty).lower()}",
             f"col-full:      {str(flags.col_full).lower()}",
@@ -114,8 +112,8 @@ def cmd_corners(args) -> int:
             "partition": list(parts),
             "outer": [render_root(r) for r in outer],
             "inner": [render_root(r.negated()) for r in inner],
-            "pseudo_outer": pseudo_out,
-            "pseudo_inner": pseudo_in,
+            "pseudo_outer": flags.contains_hook,
+            "pseudo_inner": flags.reduced,
             "row_full": flags.row_full,
             "row_empty": flags.row_empty,
             "col_full": flags.col_full,
@@ -170,6 +168,8 @@ def cmd_class(args) -> int:
 
 def cmd_degree(args) -> int:
     shape = _shape(args)
+    orbit.require_class_shape(shape)
+    orbit._refuse_over_cap(shape, orbit.classes_per_degree(shape), f"classes in degree {args.d}")
     classes = orbit.classes_at_degree(shape, args.d)
     lines = [f"degree {args.d}: {len(classes)} classes"]
     for cls in classes:

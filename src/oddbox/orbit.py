@@ -17,7 +17,8 @@ well defined; the verification suite checks this exhaustively.
 
 Row moves alone refine each class into m chains (``row_class``).  A chain
 is an ``OrbitClass`` too, and ``act`` takes it to the full class of the
-moved pair, which is how ``vss_check`` compares the two actions.
+moved pair, which is how the ``refinement-bijection`` check of the
+verification suite compares the two actions.
 
 Shifting every rotation number by one, ``(diagram, k) -> (diagram, k + 1)``,
 maps the classes of degree d onto those of degree d + 1 and commutes with the
@@ -58,13 +59,28 @@ class UndefinedMorphism(DomainError):
 
 
 class GraphTooLarge(DomainError):
-    """The degree window holds more classes than ``MAX_GRAPH_VERTICES``."""
+    """A graph, degree listing or verification sweep would cover more
+    classes (or diagrams) than ``MAX_GRAPH_VERTICES``."""
 
 
-# Refusing a graph before building it keeps huge boxes and windows from
-# hanging or exhausting memory; the largest graph the tests and the
-# benchmark build has 1 260 vertices.
+# Refusing a graph, a degree listing or a verification sweep before it starts
+# keeps huge boxes and windows from hanging or exhausting memory; the largest
+# graph the tests and the benchmark build has 1 260 vertices.
 MAX_GRAPH_VERTICES = 10_000
+
+
+def _refuse_over_cap(shape: RectShape, count: int, what: str) -> None:
+    """Raise ``GraphTooLarge`` when ``count`` exceeds ``MAX_GRAPH_VERTICES``.
+
+    ``what`` names the counted things, e.g. "classes in degrees 0..5".
+    Callers check before enumerating anything, so a huge box or window is
+    refused at once instead of hanging.
+    """
+    if count > MAX_GRAPH_VERTICES:
+        raise GraphTooLarge(
+            f"the {shape.n}x{shape.m} box has {count} {what}, "
+            f"more than the {MAX_GRAPH_VERTICES} a single command may sweep"
+        )
 
 
 def require_class_shape(shape: RectShape) -> None:
@@ -226,77 +242,6 @@ def approx_decompose(cls: OrbitClass) -> tuple[tuple[AnchoredPair, ...], ...]:
 
 
 @dataclass(frozen=True)
-class VssReport:
-    """Outcome of checking the refinement-to-class bijection on a window."""
-
-    shape: RectShape
-    lo: int
-    hi: int
-    left_counts: tuple[int, ...]
-    right_counts: tuple[int, ...]
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def vss_check(shape: RectShape, lo: int, hi: int) -> VssReport:
-    """Verify that refinement classes anchored at multiples of m biject with classes.
-
-    For each degree in the window the refinement classes of pairs whose
-    rotation number is divisible by m are matched against the full classes:
-    the map must be well defined, injective, surjective and must preserve
-    definedness and targets of every signed-root morphism.
-    """
-    require_class_shape(shape)
-    violations: list[str] = []
-    left_counts, right_counts = [], []
-    roots = all_signed_roots(shape)
-    for d in range(lo, hi + 1):
-        right = classes_at_degree(shape, d)
-        right_counts.append(len(right))
-        left: dict[AnchoredPair, OrbitClass] = {}
-        for parts in all_diagrams(shape):
-            k = d - sum(parts)
-            if k % shape.m:
-                continue
-            rc = row_class(shape, AnchoredPair(parts, k))
-            left.setdefault(rc.canonical, rc)
-        left_counts.append(len(left))
-        images: dict[AnchoredPair, AnchoredPair] = {}
-        for key in sorted(left):
-            rc = left[key]
-            targets = {enumerate_class(shape, rep).canonical for rep in rc.reps}
-            if len(targets) != 1:
-                violations.append(f"degree {d}: refinement class {key} maps to {len(targets)} classes")
-            images[key] = min(targets)
-        if len(set(images.values())) != len(images):
-            violations.append(f"degree {d}: map is not injective")
-        if set(images.values()) != {c.canonical for c in right}:
-            violations.append(f"degree {d}: map is not onto the {len(right)} classes")
-        for key in sorted(left):
-            rc = left[key]
-            cls = enumerate_class(shape, rc.canonical)
-            for root in roots:
-                try:
-                    fine = act(rc, root)
-                except UndefinedMorphism:
-                    fine = None
-                try:
-                    coarse = act(cls, root)
-                except UndefinedMorphism:
-                    coarse = None
-                if (fine is None) != (coarse is None):
-                    violations.append(
-                        f"degree {d}: definedness of {render_root(root)} differs at {key}"
-                    )
-                elif fine != coarse:
-                    violations.append(f"degree {d}: {render_root(root)} images differ at {key}")
-    return VssReport(shape, lo, hi, tuple(left_counts), tuple(right_counts), tuple(violations))
-
-
-@dataclass(frozen=True)
 class MorphismGraph:
     """Classes in a degree window with their morphism edges.
 
@@ -331,11 +276,7 @@ def build_graph(shape: RectShape, lo: int, hi: int, mode: str = "hasse") -> Morp
     if lo > hi:
         raise ValueError(f"empty degree window {lo}:{hi}")
     per_degree, span = classes_per_degree(shape), hi - lo + 1
-    if per_degree * span > MAX_GRAPH_VERTICES:
-        raise GraphTooLarge(
-            f"degrees {lo}..{hi} of the {shape.n}x{shape.m} box hold {per_degree * span} "
-            f"classes, more than the {MAX_GRAPH_VERTICES} a graph may have"
-        )
+    _refuse_over_cap(shape, per_degree * span, f"classes in degrees {lo}..{hi}")
     base = classes_at_degree(shape, lo)
     rank = {c.canonical.diagram: t for t, c in enumerate(base)}
     roots = all_signed_roots(shape, (1,) if mode == "hasse" else (1, -1))

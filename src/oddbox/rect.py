@@ -244,11 +244,6 @@ def parse_diagram(shape: RectShape, text: str) -> Parts:
     return out
 
 
-def parse_word(shape: RectShape, text: str) -> str:
-    check_word(shape, text)
-    return text
-
-
 def render_shuffle(shape: RectShape, shuf: Shuffle) -> str:
     return ",".join(str(s) if s <= shape.n else f"{s - shape.n}'" for s in shuf)
 

@@ -142,6 +142,9 @@ class EdgeFlags:
     col_empty:     no row reaches column m, "+c" prepends a full column
     contains_hook: (m, 1, ..., 1) fits inside; the outer pseudo-corner e_n - d_1
     reduced:       top row and last column are empty; the inner pseudo-corner e_1 - d_m
+
+    Neither pseudo-corner is an actual corner: they act only through class
+    representatives with shifted rotation numbers.
     """
 
     row_full: bool
@@ -165,11 +168,6 @@ def edge_flags(shape: RectShape, parts: Parts) -> EdgeFlags:
         contains_hook=row_full and col_full,
         reduced=row_empty and col_empty,
     )
-
-
-def full_hook(shape: RectShape) -> Parts:
-    """The hook (m, 1, ..., 1), the smallest diagram touching all four box edges."""
-    return (shape.m,) + (1,) * (shape.n - 1)
 
 
 def diagram_edge(shape: RectShape, parts: Parts, which: str) -> Parts:
@@ -225,14 +223,3 @@ def word_edge(shape: RectShape, word: str, which: str) -> str:
 def shuffle_edge(shape: RectShape, shuf: Shuffle, which: str) -> Shuffle:
     return shuffle_of_word(shape, word_edge(shape, word_of_shuffle(shape, shuf), which))
 
-
-def pseudo_corners(shape: RectShape, parts: Parts) -> tuple[bool, bool]:
-    """(outer?, inner?) pseudo-corner flags.
-
-    The outer pseudo-corner e_n - d_1 exists when the hook fits inside the
-    diagram; the inner pseudo-corner e_1 - d_m exists when the diagram is
-    reduced.  Neither is an actual corner: they act only through class
-    representatives with shifted rotation numbers.
-    """
-    flags = edge_flags(shape, parts)
-    return flags.contains_hook, flags.reduced

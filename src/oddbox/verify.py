@@ -103,6 +103,7 @@ def _edge_moves(shape, window):
     bad = []
     for parts in rect.all_diagrams(shape):
         w = rect.word_of_diagram(shape, parts)
+        sh = rect.shuffle_of_word(shape, w)
         flags = reflect.edge_flags(shape, parts)
         if not (flags.row_empty or flags.col_full):
             bad.append(f"{parts} in neither row-empty nor column-full set")
@@ -118,8 +119,11 @@ def _edge_moves(shape, window):
                 except reflect.NotEligible:
                     pass
                 continue
-            if rect.word_of_diagram(shape, moved) != reflect.word_edge(shape, w, which):
+            moved_word = reflect.word_edge(shape, w, which)
+            if rect.word_of_diagram(shape, moved) != moved_word:
                 bad.append(f"move {which} disagrees between words and diagrams at {parts}")
+            if reflect.shuffle_edge(shape, sh, which) != rect.shuffle_of_word(shape, moved_word):
+                bad.append(f"move {which} disagrees between shuffles and words at {parts}")
             inverse = {"-r": "+r", "+r": "-r", "-c": "+c", "+c": "-c"}[which]
             if reflect.diagram_edge(shape, moved, inverse) != parts:
                 bad.append(f"moves {which}/{inverse} are not inverse at {parts}")
@@ -252,6 +256,14 @@ def _degree_counts(shape, window):
     return bad
 
 
+def _image(cls, root):
+    """``act(cls, root)``, or None where the root is undefined on the class."""
+    try:
+        return orbit.act(cls, root)
+    except orbit.UndefinedMorphism:
+        return None
+
+
 def _degree_shift(shape, window):
     """Raising every rotation number by one maps the classes of degree d onto
     those of degree d + 1, and ``act(c.shifted(1), r)`` equals
@@ -264,14 +276,7 @@ def _degree_shift(shape, window):
 
     def acts(d):
         classes = orbit.classes_at_degree(shape, d)
-        images = {}
-        for cls in classes:
-            for root in roots:
-                try:
-                    images[cls, root] = orbit.act(cls, root)
-                except orbit.UndefinedMorphism:
-                    images[cls, root] = None
-        return classes, images
+        return classes, {(cls, root): _image(cls, root) for cls in classes for root in roots}
 
     lo, hi = window
     below, before = acts(lo)
@@ -299,6 +304,8 @@ def _approx_parts(shape, window):
             if len(parts) != shape.m or any(not p for p in parts):
                 bad.append(f"{orbit.class_id(cls)} does not split into {shape.m} nonempty parts")
                 continue
+            if sorted(rep for p in parts for rep in p) != sorted(cls.reps):
+                bad.append(f"{orbit.class_id(cls)} parts do not hold each representative exactly once")
             got = {frozenset(p) for p in parts}
             expect = {frozenset(orbit.row_class(shape, rep).reps) for rep in cls.reps}
             if got != expect:
@@ -307,8 +314,44 @@ def _approx_parts(shape, window):
 
 
 def _vss(shape, window):
-    report = orbit.vss_check(shape, window[0], window[1] - 1)
-    return list(report.violations)
+    """Refinement classes anchored at multiples of m biject with the classes.
+
+    For each degree of the window the row-move chains of the pairs whose
+    rotation number is divisible by m are matched against the classes: the
+    map must be well defined, injective and onto, and ``act`` must agree on a
+    chain and on its class, undefined matching undefined, for every signed
+    root.
+    """
+    bad = []
+    roots = orbit.all_signed_roots(shape)
+    for d in range(*window):
+        right = {c.canonical for c in orbit.classes_at_degree(shape, d)}
+        left = {}
+        for parts in rect.all_diagrams(shape):
+            k = d - sum(parts)
+            if k % shape.m == 0:
+                rc = orbit.row_class(shape, orbit.AnchoredPair(parts, k))
+                left.setdefault(rc.canonical, rc)
+        images = {}
+        for key in sorted(left):
+            targets = {orbit.enumerate_class(shape, rep).canonical for rep in left[key].reps}
+            if len(targets) != 1:
+                bad.append(f"degree {d}: refinement class {key} maps to {len(targets)} classes")
+            images[key] = min(targets)
+        if len(set(images.values())) != len(images):
+            bad.append(f"degree {d}: map is not injective")
+        if set(images.values()) != right:
+            bad.append(f"degree {d}: map is not onto the {len(right)} classes")
+        for key in sorted(left):
+            rc = left[key]
+            cls = orbit.enumerate_class(shape, rc.canonical)
+            for root in roots:
+                fine, coarse = _image(rc, root), _image(cls, root)
+                if (fine is None) != (coarse is None):
+                    bad.append(f"degree {d}: definedness of {rect.render_root(root)} differs at {key}")
+                elif fine != coarse:
+                    bad.append(f"degree {d}: {rect.render_root(root)} images differ at {key}")
+    return bad
 
 
 def _borel_invariants(shape, window):
@@ -374,10 +417,7 @@ def _borel_equivariance(shape, window):
                         bad.append(f"a move or reflection from {_pair_id(rep)} disagrees at {_pair_id(nb.pair())}")
             dk = affine.borel_of_class(cls).dk
             for root in orbit.all_signed_roots(shape):
-                try:
-                    image = orbit.act(cls, root)
-                except orbit.UndefinedMorphism:
-                    image = None
+                image = _image(cls, root)
                 try:
                     moved = affine.borel_act(dk, root)
                 except orbit.UndefinedMorphism:
@@ -449,12 +489,19 @@ _CLASS_LEVEL = (
 def run_all(shape: rect.RectShape, lo: int | None = None, hi: int | None = None) -> list[CheckResult]:
     """Run every applicable check; class-level sweeps default to one period.
 
-    The degree window lo..hi is half-open, so it must satisfy lo < hi.
+    The degree window lo..hi is half-open, so it must satisfy lo < hi.  A box
+    of more than ``orbit.MAX_GRAPH_VERTICES`` diagrams, or a window of more
+    classes, raises ``GraphTooLarge`` before any check runs.
     """
     if lo is None or hi is None:
         lo, hi = 0, shape.n * shape.m
     if lo >= hi:
         raise ValueError(f"verify windows are half-open, so LO:HI needs LO < HI, got {lo}:{hi}")
+    classy = shape.coprime and (shape.n, shape.m) != (1, 1)
+    orbit._refuse_over_cap(shape, comb(shape.size, shape.n), "diagrams")
+    if classy:
+        count = orbit.classes_per_degree(shape) * (hi - lo)
+        orbit._refuse_over_cap(shape, count, f"classes in degrees {lo}..{hi - 1}")
     window = (lo, hi)
     results = []
 
@@ -469,7 +516,6 @@ def run_all(shape: rect.RectShape, lo: int | None = None, hi: int | None = None)
 
     for name, fn in _GENERIC:
         run(name, fn)
-    classy = shape.coprime and (shape.n, shape.m) != (1, 1)
     if classy:
         for name, fn in _CLASS_LEVEL:
             run(name, fn)

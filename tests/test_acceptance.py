@@ -3,8 +3,8 @@
 Class-level sweeps use one degree period [0, mn) unless the criterion names
 a window: the degree-shift bijection (checked in criterion 2) carries every
 class into that window, so the period is exhaustive up to that symmetry.
-Criteria 06-09 call the ``oddbox.verify`` checks that own their invariants,
-each over the criterion's own shapes and windows.
+Criteria 01, 02 and 06-09 call the ``oddbox.verify`` checks that own their
+invariants, each over the criterion's own shapes and windows.
 """
 
 import time
@@ -37,18 +37,7 @@ def test_01_class_size_and_anatomy():
     bad = []
     started = time.perf_counter()
     for shape in SIX_SHAPES:
-        mn = shape.n * shape.m
-        for d in range(0, 2 * mn):
-            for cls in orbit.classes_at_degree(shape, d):
-                ks = [rep.k for rep in cls.reps]
-                if len(cls.reps) != shape.size:
-                    bad.append(f"{shape}: size {len(cls.reps)}")
-                if len(set(ks)) != len(ks):
-                    bad.append(f"{shape}: repeated k in {orbit.class_id(cls)}")
-                if len({(rep.diagram, rep.k % mn) for rep in cls.reps}) != len(cls.reps):
-                    bad.append(f"{shape}: repeated rep mod {mn} in {orbit.class_id(cls)}")
-                if {rep.degree() for rep in cls.reps} != {d}:
-                    bad.append(f"{shape}: mixed degrees in {orbit.class_id(cls)}")
+        bad.extend(f"{shape}: {v}" for v in verify._class_anatomy(shape, (0, 2 * shape.n * shape.m)))
     elapsed = time.perf_counter() - started
     if elapsed >= 10.0:
         bad.append(f"sweep took {elapsed:.1f}s, budget 10s")
@@ -60,22 +49,9 @@ def test_02_counting_and_periodicity():
     expected = {(2, 3): 2, (3, 4): 5, (4, 5): 14}
     for (n, m), count in expected.items():
         shape = rect.RectShape(n, m)
-        mn = n * m
         if orbit.classes_per_degree(shape) != count:
             bad.append(f"{shape}: formula gives {orbit.classes_per_degree(shape)}")
-        for d in range(0, 2 * mn):
-            got = orbit.classes_at_degree(shape, d)
-            if len(got) != count:
-                bad.append(f"{shape}: degree {d} has {len(got)} classes")
-        for d in range(0, mn):
-            now = orbit.classes_at_degree(shape, d)
-            shifted = {
-                orbit.enumerate_class(shape, (c.canonical.diagram, c.canonical.k + mn)).canonical
-                for c in now
-            }
-            later = {c.canonical for c in orbit.classes_at_degree(shape, d + mn)}
-            if shifted != later:
-                bad.append(f"{shape}: shift at degree {d} not a bijection")
+        bad.extend(f"{shape}: {v}" for v in verify._degree_counts(shape, (0, 2 * n * m)))
     report(2, bad)
 
 
@@ -213,7 +189,7 @@ def test_10_noncoprime_guard():
         lambda: orbit.enumerate_class(shape, ((0, 0), 0)),
         lambda: orbit.classes_at_degree(shape, 0),
         lambda: orbit.build_graph(shape, 0, 1),
-        lambda: orbit.vss_check(shape, 0, 1),
+        lambda: verify._vss(shape, (0, 2)),
         lambda: affine.borel_at(shape, ((0, 0), 0)),
     ):
         with pytest.raises(rect.NonCoprimeShape):

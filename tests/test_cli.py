@@ -124,13 +124,16 @@ def test_graph_json(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--n", "13", "--m", "17", "--deg", "0:0"],
-        ["--n", "2", "--m", "3", "--deg", "0:100000000"],
+        ["graph", "--n", "13", "--m", "17", "--deg", "0:0"],
+        ["graph", "--n", "2", "--m", "3", "--deg", "0:100000000"],
+        ["degree", "--n", "13", "--m", "17", "--d", "0"],
+        ["verify", "--n", "2", "--m", "3", "--deg", "0:100000000"],
+        ["verify", "--n", "13", "--m", "17"],
     ],
 )
 def test_graph_over_the_vertex_cap_is_refused_promptly(capsys, argv):
     start = time.perf_counter()
-    assert run(["graph", *argv]) == 1
+    assert run(argv) == 1
     assert time.perf_counter() - start < 0.5
     out, err = out_of(capsys)
     assert out == ""

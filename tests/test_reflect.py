@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ALL_SHAPES, oracle_corners
+from oddbox import verify
 from oddbox.rect import (
     OddRoot,
     RectShape,
@@ -13,7 +14,6 @@ from oddbox.rect import (
     word_of_diagram,
 )
 from oddbox.reflect import (
-    EDGE_OPS,
     NotACorner,
     NotEligible,
     NotSimple,
@@ -21,14 +21,11 @@ from oddbox.reflect import (
     corners,
     diagram_edge,
     edge_flags,
-    full_hook,
     p_apply,
     pair_root,
-    pseudo_corners,
     r_apply,
     render_pair,
     root_pair,
-    shuffle_edge,
     simple_roots,
     t_apply,
     word_edge,
@@ -162,25 +159,7 @@ def test_root_pair_roundtrip():
 
 def test_three_actions_agree_everywhere():
     for shape in ALL_SHAPES:
-        for parts in all_diagrams(shape):
-            word = word_of_diagram(shape, parts)
-            shuf = shuffle_of_word(shape, word)
-            for root in signed_roots(shape):
-                defined = admits(shape, parts, root)
-                if not defined:
-                    with pytest.raises(NotSimple):
-                        p_apply(shape, word, root)
-                    with pytest.raises(NotSimple):
-                        r_apply(shape, shuf, root)
-                    continue
-                moved = t_apply(shape, parts, root)
-                moved_word = p_apply(shape, word, root)
-                moved_shuf = r_apply(shape, shuf, root)
-                assert word_of_diagram(shape, moved) == moved_word
-                assert shuffle_of_word(shape, moved_word) == moved_shuf
-                assert t_apply(shape, moved, root.negated()) == parts
-                assert p_apply(shape, moved_word, root.negated()) == word
-                assert r_apply(shape, moved_shuf, root.negated()) == shuf
+        assert verify._corner_actions(shape, None) == []
 
 
 @pytest.mark.parametrize(
@@ -211,30 +190,8 @@ def test_edge_ops_not_eligible():
 
 
 def test_edge_ops_word_diagram_agree_and_invert():
-    inverse = {"-r": "+r", "+r": "-r", "-c": "+c", "+c": "-c"}
     for shape in ALL_SHAPES:
-        for parts in all_diagrams(shape):
-            word = word_of_diagram(shape, parts)
-            shuf = shuffle_of_word(shape, word)
-            for which in EDGE_OPS:
-                try:
-                    moved = diagram_edge(shape, parts, which)
-                except NotEligible:
-                    with pytest.raises(NotEligible):
-                        word_edge(shape, word, which)
-                    continue
-                moved_word = word_edge(shape, word, which)
-                assert word_of_diagram(shape, moved) == moved_word
-                assert shuffle_edge(shape, shuf, which) == shuffle_of_word(shape, moved_word)
-                assert diagram_edge(shape, moved, inverse[which]) == parts
-
-
-def test_disjoint_unions_cover_everything():
-    for shape in ALL_SHAPES:
-        for parts in all_diagrams(shape):
-            flags = edge_flags(shape, parts)
-            assert flags.row_empty or flags.col_full
-            assert flags.col_empty or flags.row_full
+        assert verify._edge_moves(shape, None) == []
 
 
 @pytest.mark.parametrize(
@@ -242,61 +199,26 @@ def test_disjoint_unions_cover_everything():
     [((3, 1), (True, False)), ((0, 0), (False, True)), ((3, 0), (False, False))],
 )
 def test_pseudo_corner_examples(parts, expected):
-    assert pseudo_corners(S23, parts) == expected
+    flags = edge_flags(S23, parts)
+    assert (flags.contains_hook, flags.reduced) == expected
 
 
 def test_pseudo_corners_match_hook_containment():
     for shape in ALL_SHAPES:
-        hook = full_hook(shape)
+        hook = (shape.m,) + (1,) * (shape.n - 1)
         for parts in all_diagrams(shape):
-            outer, inner = pseudo_corners(shape, parts)
+            flags = edge_flags(shape, parts)
             contains = all(parts[t] >= hook[t] for t in range(shape.n))
-            assert outer == contains
-            assert inner == (parts[-1] == 0 and parts[0] < shape.m)
+            assert flags.contains_hook == contains
+            assert flags.reduced == (parts[-1] == 0 and parts[0] < shape.m)
             word = word_of_diagram(shape, parts)
-            assert outer == (word[0] == "r" and word[-1] == "d")
-            assert inner == (word[0] == "d" and word[-1] == "r")
-
-
-def _nu(shape, root):
-    return rotate_root(shape, root, 0, 1)
-
-
-def _eta(shape, root):
-    return rotate_root(shape, root, 1, 0)
+            assert flags.contains_hook == (word[0] == "r" and word[-1] == "d")
+            assert flags.reduced == (word[0] == "d" and word[-1] == "r")
 
 
 def test_row_and_column_compatibility():
     for shape in ALL_SHAPES:
-        for parts in all_diagrams(shape):
-            word = word_of_diagram(shape, parts)
-            shuf = shuffle_of_word(shape, word)
-            flags = edge_flags(shape, parts)
-            for root in signed_roots(shape):
-                if root.sign < 0 or not admits(shape, parts, root):
-                    continue
-                if flags.row_full:
-                    turned = _nu(shape, root)
-                    down = diagram_edge(shape, parts, "-r")
-                    assert admits(shape, down, turned)
-                    assert diagram_edge(shape, t_apply(shape, parts, root), "-r") == t_apply(shape, down, turned)
-                    assert word_edge(shape, p_apply(shape, word, root), "-r") == p_apply(
-                        shape, word_edge(shape, word, "-r"), turned
-                    )
-                    assert shuffle_edge(shape, r_apply(shape, shuf, root), "-r") == r_apply(
-                        shape, shuffle_edge(shape, shuf, "-r"), turned
-                    )
-                if flags.col_full:
-                    turned = _eta(shape, root)
-                    down = diagram_edge(shape, parts, "-c")
-                    assert admits(shape, down, turned)
-                    assert diagram_edge(shape, t_apply(shape, parts, root), "-c") == t_apply(shape, down, turned)
-                    assert word_edge(shape, p_apply(shape, word, root), "-c") == p_apply(
-                        shape, word_edge(shape, word, "-c"), turned
-                    )
-                    assert shuffle_edge(shape, r_apply(shape, shuf, root), "-c") == r_apply(
-                        shape, shuffle_edge(shape, shuf, "-c"), turned
-                    )
+        assert verify._row_col_compat(shape, None) == []
 
 
 @given(st.sampled_from(ALL_SHAPES), st.data())

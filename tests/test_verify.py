@@ -1,6 +1,6 @@
 import pytest
 
-from oddbox import affine, orbit, reflect
+from oddbox import affine, orbit, rect, reflect, verify
 from oddbox.rect import RectShape
 from oddbox.verify import run_all
 
@@ -94,3 +94,38 @@ def test_degree_shift_catches_an_action_that_sees_the_parity_of_k(monkeypatch):
     results = {r.name: r for r in run_all(RectShape(2, 3))}
     assert not results["degree-shift"].ok
     assert "does not commute with the shift" in results["degree-shift"].detail
+
+
+def _repeat_a_rep(exact):
+    def fault(cls):
+        parts = exact(cls)
+        return (parts[0] + parts[0][:1],) + parts[1:]
+
+    return fault
+
+
+# check name -> (module, function the check reads, maker of a broken version)
+FAULTS = {
+    "encoding-roundtrips": (rect, "diagram_of_shuffle", lambda exact: lambda shape, sh: (0,) * shape.n),
+    "dual-involution": (rect, "dual", lambda exact: lambda shape, parts: (0,) * shape.m),
+    "corner-actions": (reflect, "corners", lambda exact: lambda shape, parts: exact(shape, parts)[::-1]),
+    "edge-moves": (reflect, "shuffle_edge", lambda exact: lambda shape, shuf, which: shuf),
+    "row-column-compatibility": (rect, "rotate_root", lambda exact: lambda shape, root, i=0, j=0: root),
+    "plain-embedding": (orbit, "act", lambda exact: lambda cls, root: cls),
+    "class-anatomy": (
+        orbit,
+        "classes_at_degree",
+        lambda exact: lambda shape, d: tuple(orbit.OrbitClass(shape, c.reps[:-1]) for c in exact(shape, d)),
+    ),
+    "degree-counts": (orbit, "classes_per_degree", lambda exact: lambda shape: exact(shape) + 1),
+    "refinement-parts": (orbit, "approx_decompose", _repeat_a_rep),
+}
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_each_delegated_check_reports_a_broken_function(monkeypatch, name):
+    """Breaking one function a check reads makes it return violations, not crash."""
+    module, attr, fault = FAULTS[name]
+    monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
+    check = dict(verify._GENERIC + verify._CLASS_LEVEL)[name]
+    assert check(RectShape(2, 3), (0, 6))
