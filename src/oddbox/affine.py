@@ -20,19 +20,22 @@ diagram alone: it reflects at the node whose e and d coefficients are
 s(e_i - d_j), and is undefined when no node has them (``borel_act``).
 
 The Borel paired with an anchored pair (diagram, k) has a closed form.
-Split k = i*n + j*m - c*mn with 0 <= i < m and 0 <= j < n
-(``solve_rotation``) and extend the shuffle of the diagram.  Each node of
-the extension has its e coefficients rotated j steps down (e_a moves to
-e_{a-j}), its d coefficients rotated i steps up (d_b moves to d_{b+i}),
-and c*sum(e) - sum_{a<=j} e_a + sum_{b>m-i} d_b, taken over the old
-coefficients, subtracted from its dbar coefficient.  Node t lands at
-position (D + t) mod (m + n) with D = i - j - c*m, and D is the deleted
-node.  Raising k by mn lowers c by one, so it rotates the positions by m
-and raises each dbar coefficient by the sum of the node's e coefficients.
-The formula is checked, not assumed: ``verify`` compares it with every
-node move and odd reflection out of every anchor in its window, and the
-tests compare it with a breadth-first search over those moves and
-reflections from the extension of the distinguished shuffle.
+The extension of a shuffle sigma (``extend``) is its cyclic consecutive
+differences: node t is basis(sigma[t-1]) - basis(sigma[t]), and node 0 also
+gets dbar.  Split k = i*n + j*m - c*mn with 0 <= i < m and 0 <= j < n
+(``solve_rotation``).  Moving the extension of the diagram's shuffle to k
+sends e_a to e_{a-j} and d_b to d_{b+i}, and lowers the dbar coefficient of
+a node by c - [a <= j] for each e_a and by [b > m - i] for each d_b, counted
+with the node's coefficients.  Node t lands at position (D + t) mod (m + n)
+with D = i - j - c*m, and D is the deleted node.  ``borel_at`` builds each
+node straight from the two shuffle symbols under it, without ``extend``.
+Raising k by mn lowers c by one, so it rotates the positions by m and raises
+each dbar coefficient by the sum of the node's e coefficients.
+The formula is checked, not assumed: ``verify`` compares it with ``extend``
+at the empty diagram and k = 0 and with every node move and odd reflection
+out of every anchor in its window, and the tests compare it with a
+breadth-first search over those moves and reflections from the extension of
+the distinguished shuffle, and with rotating ``extend`` node by node.
 """
 
 from dataclasses import dataclass
@@ -340,6 +343,11 @@ def dta_words(dk: CyclicDK) -> tuple[str, ...]:
 def borel_at(shape: RectShape, pair) -> FiniteBorel:
     """The Borel paired with a class, anchored at the given representative.
 
+    Node t of the cyclic diagram is the difference of the basis vectors of
+    shuffle symbols t - 1 and t (cyclically), rotated to k, with dbar
+    coefficient [t = 0] minus the lifts of the two symbols; it sits at
+    position (deleted + t) mod (m + n).  See the module docstring.
+
     >>> b = borel_at(RectShape(3, 4), ((0, 0, 0), 7))
     >>> [r.render() for r in b.simple_global()]
     ['dbar - e1 + e3', 'e1 - e2', '-d2 + e2', 'd2 - d3', 'd3 - d4', 'dbar - d1 + d4']
@@ -347,18 +355,26 @@ def borel_at(shape: RectShape, pair) -> FiniteBorel:
     require_class_shape(shape)
     parts, k = tuple(pair[0]), pair[1]
     check_diagram(shape, parts)
-    n, m = shape.n, shape.m
+    n, m, size = shape.n, shape.m, shape.size
     i, j = solve_rotation(shape, k)
     c = (i * n + j * m - k) // (n * m)
-    base = extend(shape, shuffle_of_diagram(shape, parts))
-    deleted = (i - j - c * m) % shape.size
-    nodes = [None] * shape.size
-    for t, r in enumerate(base.dk.nodes):
-        shift = c * sum(r.eps) - sum(r.eps[:j]) + sum(r.dels[m - i:])
-        nodes[(deleted + t) % shape.size] = GlobalRoot(
-            r.eps[j:] + r.eps[:j], r.dels[m - i:] + r.dels[:m - i], r.dbar - shift
-        )
-    return FiniteBorel(CyclicDK(shape, tuple(nodes)), deleted, base.shuffle, k)
+    shuf = shuffle_of_diagram(shape, parts)
+    # per shuffle symbol (a for e_a, n + b for d_b): its coordinate after the
+    # rotation and what it takes off the dbar coefficient
+    where, lift = [0] * (size + 1), [0] * (size + 1)
+    for a in range(1, n + 1):
+        where[a], lift[a] = (a - 1 - j) % n, c - (a <= j)
+    for b in range(1, m + 1):
+        where[n + b], lift[n + b] = n + (b - 1 + i) % m, int(b > m - i)
+    deleted = (i - j - c * m) % size
+    nodes = [None] * size
+    for t in range(size):
+        up, down = shuf[t - 1], shuf[t]
+        vec = [0] * size
+        vec[where[up]], vec[where[down]] = 1, -1
+        dbar = (t == 0) - lift[up] + lift[down]
+        nodes[(deleted + t) % size] = GlobalRoot(tuple(vec[:n]), tuple(vec[n:]), dbar)
+    return FiniteBorel(CyclicDK(shape, tuple(nodes)), deleted, shuf, k)
 
 
 def transitions(b: FiniteBorel) -> list[FiniteBorel]:

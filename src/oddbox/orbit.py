@@ -4,9 +4,13 @@ A pair (diagram, k) moves by four elementary steps: deleting a full bottom
 row adds m to k, restoring one subtracts m, deleting a full first column
 adds n to k, restoring one subtracts n.  On border words every step cycles
 the word by one letter, so for coprime n, m the class of a pair has exactly
-m + n members, one per rotation of its word.  Rotation numbers are read off
-the letters as they wrap around: an ``r`` moving from front to back adds n,
-a ``d`` subtracts m.
+m + n members, one per rotation of its word.  ``enumerate_class`` walks them
+with two of the moves and no words: while the top row is nonempty (the word
+starts with ``r``) it deletes the first column, adding n to k, and otherwise
+(the word starts with ``d``) it restores a full bottom row, subtracting m.
+The ``edge-moves`` check of the verification suite ties these moves to word
+rotation, and ``class-generators`` ties the walk to the closure under all
+four moves.
 
 The groupoid acts on classes through rotated roots: to apply a signed root
 to a class, pick any representative (diagram, k), split k = i*n + j*m, and
@@ -43,7 +47,6 @@ from .rect import (
     ShapeUnsupported,
     all_diagrams,
     check_diagram,
-    diagram_of_word,
     render_diagram,
     render_root,
     rotate_root,
@@ -139,22 +142,26 @@ def edge_shift(shape: RectShape, which: str) -> int:
     return {"-r": shape.m, "+r": -shape.m, "-c": shape.n, "+c": -shape.n}[which]
 
 
-def _rotation_orbit(shape: RectShape, word: str, k: int) -> list[AnchoredPair]:
-    seq = []
-    w, kk = word, k
-    for _ in range(shape.size):
-        seq.append(AnchoredPair(diagram_of_word(shape, w), kk))
-        kk = kk + shape.n if w[0] == "r" else kk - shape.m
-        w = w[1:] + w[0]
-    return seq
-
-
 def enumerate_class(shape: RectShape, pair) -> OrbitClass:
-    """The class of a pair: one representative per rotation of its word."""
+    """The class of a pair: one representative per rotation of its word.
+
+    Rotating the word by one letter is one raw move, so the walk never builds
+    a word: a word starting with ``r`` (nonempty top row) loses its first
+    column and k rises by n; one starting with ``d`` (empty top row) gets a
+    full bottom row back and k falls by m.  After m + n moves the walk is
+    back at the pair it started from.
+    """
     require_class_shape(shape)
-    parts, k = tuple(pair[0]), pair[1]
-    check_diagram(shape, parts)
-    seq = _rotation_orbit(shape, word_of_diagram(shape, parts), k)
+    p, k = tuple(pair[0]), pair[1]
+    check_diagram(shape, p)
+    n, m = shape.n, shape.m
+    seq = []
+    for _ in range(shape.size):
+        seq.append(AnchoredPair(p, k))
+        if p[-1]:
+            p, k = tuple(x - 1 for x in p), k + n
+        else:
+            p, k = (m,) + p[:-1], k - m
     start = min(range(len(seq)), key=lambda t: seq[t].k)
     return OrbitClass(shape, tuple(seq[start:] + seq[:start]))
 

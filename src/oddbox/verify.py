@@ -403,19 +403,33 @@ def _borel_equivariance(shape, window):
     only the cyclic diagram, agree on every class and root of the window, so
     with ``borel-bijection`` making the vertex map a bijection, this is the
     labelled Cayley-graph isomorphism on the window.  Each reflected diagram
-    keeps its node sum and its zero Gram row sums."""
+    keeps its node sum and its zero Gram row sums.
+
+    ``borel_at`` is pure, so each anchor's Borel is computed once.  Degree d
+    reaches only anchors of degrees d - 1..d + 1, so the Borels of lower
+    degrees are dropped as the sweep moves up, which keeps memory flat in
+    the width of the window."""
     bad = []
     one = affine.dbar_root(shape)
     zero = orbit.AnchoredPair((0,) * shape.n, 0)
     if affine.borel_at(shape, zero) != affine.extend(shape, rect.identity_shuffle(shape)):
         bad.append("the empty diagram at k = 0 is not the extension of the distinguished shuffle")
+    borels = {}  # degree -> anchor -> Borel
+
+    def borel(pair):
+        known = borels.setdefault(pair.degree(), {})
+        if pair not in known:
+            known[pair] = affine.borel_at(shape, pair)
+        return known[pair]
+
     for d in range(*window):
+        borels.pop(d - 2, None)
         for cls in orbit.classes_at_degree(shape, d):
             for rep in cls.reps:
-                for nb in affine.transitions(affine.borel_at(shape, rep)):
-                    if nb != affine.borel_at(shape, nb.pair()):
+                for nb in affine.transitions(borel(rep)):
+                    if nb != borel(nb.pair()):
                         bad.append(f"a move or reflection from {_pair_id(rep)} disagrees at {_pair_id(nb.pair())}")
-            dk = affine.borel_of_class(cls).dk
+            dk = borel(cls.canonical).dk
             for root in orbit.all_signed_roots(shape):
                 image = _image(cls, root)
                 try:
@@ -429,7 +443,7 @@ def _borel_equivariance(shape, window):
                     continue
                 if moved.node_sum() != one or any(sum(row) != 0 for row in moved.gram()):
                     bad.append(f"invariants fail after reflection at {orbit.class_id(cls)}, {rect.render_root(root)}")
-                if affine.borel_of_class(image).dk != moved:
+                if borel(image.canonical).dk != moved:
                     bad.append(f"equivariance fails at {orbit.class_id(cls)}, {rect.render_root(root)}")
     return bad
 

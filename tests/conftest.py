@@ -2,15 +2,24 @@
 
 from collections import deque
 
-from oddbox.affine import affine_reflect, extend, node_move
+from oddbox.affine import CyclicDK, FiniteBorel, GlobalRoot, affine_reflect, extend, node_move
 from oddbox.orbit import (
+    AnchoredPair,
     MorphismGraph,
+    OrbitClass,
     UndefinedMorphism,
     act,
     all_signed_roots,
     classes_at_degree,
 )
-from oddbox.rect import RectShape, identity_shuffle
+from oddbox.rect import (
+    RectShape,
+    diagram_of_word,
+    identity_shuffle,
+    shuffle_of_diagram,
+    solve_rotation,
+    word_of_diagram,
+)
 from oddbox.reflect import NotEligible
 
 # every shape with m + n <= 9, and the coprime ones among them
@@ -130,3 +139,44 @@ def oracle_build_graph(shape, lo, hi, mode):
             if u is not None:
                 edges.add((t, u, root))
     return MorphismGraph(shape, mode, lo, hi, tuple(vertices), tuple(sorted(edges)))
+
+
+def oracle_enumerate_class(shape, pair):
+    """The class of a pair by rotating its border word one letter at a time.
+
+    Each rotation is parsed back into a diagram; an ``r`` moving from front
+    to back adds n to k, a ``d`` subtracts m.  The members are listed in
+    rotation order starting from the one of minimal k.
+    """
+    word, k = word_of_diagram(shape, tuple(pair[0])), pair[1]
+    seq = []
+    for _ in range(shape.size):
+        seq.append(AnchoredPair(diagram_of_word(shape, word), k))
+        k = k + shape.n if word[0] == "r" else k - shape.m
+        word = word[1:] + word[0]
+    start = min(range(len(seq)), key=lambda t: seq[t].k)
+    return OrbitClass(shape, tuple(seq[start:] + seq[:start]))
+
+
+def oracle_borel_at(shape, pair):
+    """The Borel of a pair by extending its shuffle and rotating every node.
+
+    With k = i*n + j*m - c*mn, each node of the extension has its e
+    coefficients rotated j steps down, its d coefficients i steps up, and
+    c*sum(e) - sum_{a<=j} e_a + sum_{b>m-i} d_b, over the old coefficients,
+    taken off its dbar coefficient; node t moves to position D + t with
+    D = i - j - c*m the deleted node.
+    """
+    parts, k = tuple(pair[0]), pair[1]
+    n, m = shape.n, shape.m
+    i, j = solve_rotation(shape, k)
+    c = (i * n + j * m - k) // (n * m)
+    base = extend(shape, shuffle_of_diagram(shape, parts))
+    deleted = (i - j - c * m) % shape.size
+    nodes = [None] * shape.size
+    for t, r in enumerate(base.dk.nodes):
+        shift = c * sum(r.eps) - sum(r.eps[:j]) + sum(r.dels[m - i:])
+        nodes[(deleted + t) % shape.size] = GlobalRoot(
+            r.eps[j:] + r.eps[:j], r.dels[m - i:] + r.dels[:m - i], r.dbar - shift
+        )
+    return FiniteBorel(CyclicDK(shape, tuple(nodes)), deleted, base.shuffle, k)

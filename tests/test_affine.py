@@ -28,6 +28,7 @@ from oddbox.rect import (
     OddRoot,
     RectShape,
     ShapeUnsupported,
+    all_diagrams,
     identity_shuffle,
     render_shuffle,
     rotate_word,
@@ -35,7 +36,7 @@ from oddbox.rect import (
 )
 from oddbox.reflect import NotEligible
 
-from conftest import oracle_borel_search
+from conftest import CLASS_SHAPES, oracle_borel_at, oracle_borel_search
 
 S23 = RectShape(2, 3)
 S34 = RectShape(3, 4)
@@ -400,6 +401,17 @@ def test_borel_at_matches_search(nm):
         assert borel_at(shape, pair) == b
 
 
+@pytest.mark.parametrize("shape", CLASS_SHAPES, ids=lambda s: f"{s.n}x{s.m}")
+def test_borel_at_matches_rotated_extension(shape):
+    """The cyclic-difference form equals extending the shuffle and rotating
+    every node, at every pair of degree -2mn..2mn."""
+    mn = shape.n * shape.m
+    for parts in all_diagrams(shape):
+        for d in range(-2 * mn, 2 * mn + 1):
+            pair = (parts, d - sum(parts))
+            assert borel_at(shape, pair) == oracle_borel_at(shape, pair)
+
+
 def test_borel_at_far_from_zero():
     """Periodicity in k and the diagram invariants hold out to |k| = 10^6."""
     from hypothesis import given, settings
@@ -418,6 +430,7 @@ def test_borel_at_far_from_zero():
     def check(anchor, q):
         shape, parts, k = anchor
         b = borel_at(shape, (parts, k))
+        assert b == oracle_borel_at(shape, (parts, k))
         assert b.pair() == (parts, k)
         assert b.dk.node_sum() == dbar_root(shape)
         assert all(sum(row) == 0 for row in b.dk.gram())

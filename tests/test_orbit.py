@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CLASS_SHAPES, oracle_build_graph
+from conftest import CLASS_SHAPES, oracle_build_graph, oracle_enumerate_class
 from oddbox import orbit, verify
 from oddbox.orbit import (
     AnchoredPair,
@@ -95,6 +95,24 @@ def test_class_matches_raw_move_closure():
             for k in (0, 1, -shape.m):
                 cls = enumerate_class(shape, (parts, k))
                 assert set(cls.reps) == closure_by_raw_moves(shape, (parts, k))
+
+
+@pytest.mark.parametrize("shape", CLASS_SHAPES, ids=lambda s: f"{s.n}x{s.m}")
+def test_enumerate_class_matches_word_rotation(shape):
+    """The word-free walk lists the same members in the same order as
+    rotating the border word, for every diagram near and away from k = 0."""
+    mn = shape.n * shape.m
+    for parts in all_diagrams(shape):
+        for k in (-2 * mn, -1, 0, 1, 2 * mn):
+            assert enumerate_class(shape, (parts, k)).reps == oracle_enumerate_class(shape, (parts, k)).reps
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([RectShape(5, 8), RectShape(7, 9)]), st.data(), st.integers(-10**6, 10**6))
+def test_enumerate_class_matches_word_rotation_far_from_zero(shape, data, k):
+    parts = data.draw(st.lists(st.integers(0, shape.m), min_size=shape.n, max_size=shape.n))
+    parts = tuple(sorted(parts, reverse=True))
+    assert enumerate_class(shape, (parts, k)).reps == oracle_enumerate_class(shape, (parts, k)).reps
 
 
 def test_class_membership_and_degree_invariance():

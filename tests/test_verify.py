@@ -104,10 +104,21 @@ def _repeat_a_rep(exact):
     return fault
 
 
+def _skew_node_one(exact):
+    def fault(shape, pair):
+        b = exact(shape, pair)
+        nodes = list(b.dk.nodes)
+        nodes[1] = affine.GlobalRoot(nodes[1].eps, nodes[1].dels, nodes[1].dbar + 1)
+        return affine.FiniteBorel(affine.CyclicDK(shape, tuple(nodes)), b.deleted, b.shuffle, b.k)
+
+    return fault
+
+
 # check name -> (module, function the check reads, maker of a broken version)
 FAULTS = {
     "encoding-roundtrips": (rect, "diagram_of_shuffle", lambda exact: lambda shape, sh: (0,) * shape.n),
     "dual-involution": (rect, "dual", lambda exact: lambda shape, parts: (0,) * shape.m),
+    "rotation-orders": (rect, "rotate_word", lambda exact: lambda word, i=1: exact(word, i + 1)),
     "corner-actions": (reflect, "corners", lambda exact: lambda shape, parts: exact(shape, parts)[::-1]),
     "edge-moves": (reflect, "shuffle_edge", lambda exact: lambda shape, shuf, which: shuf),
     "row-column-compatibility": (rect, "rotate_root", lambda exact: lambda shape, root, i=0, j=0: root),
@@ -117,8 +128,20 @@ FAULTS = {
         "classes_at_degree",
         lambda exact: lambda shape, d: tuple(orbit.OrbitClass(shape, c.reps[:-1]) for c in exact(shape, d)),
     ),
+    "class-generators": (
+        orbit,
+        "enumerate_class",
+        lambda exact: lambda shape, pair: orbit.OrbitClass(shape, exact(shape, pair).reps[:-1]),
+    ),
+    "action-well-defined": (orbit, "rotated_root_at", lambda exact: lambda shape, root, k: exact(shape, root, 0)),
     "degree-counts": (orbit, "classes_per_degree", lambda exact: lambda shape: exact(shape) + 1),
     "refinement-parts": (orbit, "approx_decompose", _repeat_a_rep),
+    "borel-invariants": (affine, "borel_at", _skew_node_one),
+    "borel-bijection": (
+        affine,
+        "class_of_borel",
+        lambda exact: lambda b: orbit.enumerate_class(b.shape, (b.diagram(), b.k + 1)),
+    ),
 }
 
 
