@@ -10,6 +10,7 @@ values exit 2.
 import argparse
 import json
 import sys
+from itertools import chain
 
 from . import affine, orbit, verify
 from .rect import (
@@ -47,19 +48,24 @@ def _emit(args, text_lines, json_obj) -> None:
         payload = json.dumps(json_obj, indent=2) + "\n"
     else:
         payload = "\n".join(text_lines) + "\n"
-    _write(args, payload)
+    _write(args, [payload])
 
 
-def _write(args, payload: str) -> None:
+def _write(args, chunks) -> None:
+    """Write the text pieces in order to ``--out``, or else to stdout.
+
+    The file is opened before the first piece is rendered, so a lazy
+    iterable streams through one buffered handle.
+    """
     out = getattr(args, "out", None)
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-        except OSError as exc:
-            raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from None
-    else:
-        sys.stdout.write(payload)
+    if not out:
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from None
 
 
 def cmd_convert(args) -> int:
@@ -171,16 +177,13 @@ def cmd_degree(args) -> int:
     orbit.require_class_shape(shape)
     orbit._refuse_over_cap(shape, orbit.classes_per_degree(shape), f"classes in degree {args.d}")
     classes = orbit.classes_at_degree(shape, args.d)
+    if args.format == "json":
+        _write(args, chain(orbit.degree_json_chunks(shape, args.d, classes), ["\n"]))
+        return 0
     lines = [f"degree {args.d}: {len(classes)} classes"]
     for cls in classes:
         lines.append(f"  {orbit.class_id(cls)}")
-    obj = {
-        "n": shape.n,
-        "m": shape.m,
-        "degree": args.d,
-        "classes": [orbit.class_json(c) for c in classes],
-    }
-    _emit(args, lines, obj)
+    _write(args, ["\n".join(lines) + "\n"])
     return 0
 
 
@@ -199,10 +202,10 @@ def cmd_graph(args) -> int:
     lo, hi = _parse_window(args.deg)
     graph = orbit.build_graph(shape, lo, hi, args.mode)
     if args.format == "dot":
-        _write(args, orbit.graph_dot(graph))
+        _write(args, [orbit.graph_dot(graph)])
         return 0
     if args.format == "json":
-        _write(args, json.dumps(orbit.graph_json(graph), indent=2) + "\n")
+        _write(args, chain(orbit.graph_json_chunks(graph), ["\n"]))
         return 0
     lines = [f"{args.mode} graph, degrees {lo}..{hi}: "
              f"{len(graph.vertices)} classes, {len(graph.edges)} edges"]
@@ -212,7 +215,7 @@ def cmd_graph(args) -> int:
     ids = [orbit.class_id(c) for c in graph.vertices]
     for a, b, root in graph.edges:
         lines.append(f"{ids[a]} -> {ids[b]}  [{render_root(root)}]")
-    _write(args, "\n".join(lines) + "\n")
+    _write(args, ["\n".join(lines) + "\n"])
     return 0
 
 

@@ -36,7 +36,7 @@ tests both facts.  Everything here is an immutable value.
 from dataclasses import dataclass
 from itertools import groupby
 from math import comb
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .rect import (
     DomainError,
@@ -334,19 +334,82 @@ def class_json(cls: OrbitClass) -> dict:
     }
 
 
-def graph_json(graph: MorphismGraph) -> dict:
+def _int_list(items, pad: str) -> str:
+    """A nonempty list of ints as ``json.dumps(..., indent=2)`` lays it out
+    after a key on a line indented by ``pad``."""
+    return "[\n" + ",\n".join(f"{pad}  {x}" for x in items) + f"\n{pad}]"
+
+
+def _class_blocks(classes) -> Iterator[str]:
+    """``json.dumps(class_json(c), indent=2)`` for each class, as an element of
+    a list under a top-level key (four more spaces on every line), one block
+    per class, each after the first led by the separating comma.
+
+    A diagram's ``"partition"`` and ``"word"`` lines are rendered the first
+    time it is met and reused for every later representative with that
+    diagram, in any class or degree; only ``k`` is filled in.  The strings
+    of the schema (words, modes, class ids, roots) hold only letters, digits
+    and ``,@+-``, so none needs escaping.
+    """
+    heads: dict[Parts, str] = {}
+    sep = ""
+    for cls in classes:
+        reps = []
+        for rep in cls.reps:
+            head = heads.get(rep.diagram)
+            if head is None:
+                head = heads[rep.diagram] = (
+                    '        {\n          "partition": ' + _int_list(rep.diagram, " " * 10)
+                    + f',\n          "word": "{word_of_diagram(cls.shape, rep.diagram)}",'
+                    + '\n          "k": '
+                )
+            reps.append(f"{head}{rep.k}\n        }}")
+        c = cls.canonical
+        yield (
+            f'{sep}    {{\n      "degree": {cls.degree},\n      "canonical": {{\n'
+            f'        "partition": {_int_list(c.diagram, " " * 8)},\n        "k": {c.k}\n'
+            '      },\n      "reps": [\n' + ",\n".join(reps) + "\n      ]\n    }"
+        )
+        sep = ",\n"
+
+
+def degree_json_chunks(shape: RectShape, d: int, classes) -> Iterator[str]:
+    """The ``degree --format json`` document in pieces, one per class: the
+    text of ``json.dumps({"n", "m", "degree", "classes": [class_json(c) ...]},
+    indent=2)``."""
+    yield f'{{\n  "n": {shape.n},\n  "m": {shape.m},\n  "degree": {d},\n  "classes": [\n'
+    yield from _class_blocks(classes)
+    yield "\n  ]\n}"
+
+
+def graph_json_chunks(graph: MorphismGraph) -> Iterator[str]:
+    """The graph as JSON text in pieces, with the layout of ``json.dumps(...,
+    indent=2)``: a header, one block per class (``class_json``), then the
+    edges ``{"src", "dst", "root"}`` 512 at a time.
+
+    Nothing document-sized is built, so a caller can write the pieces as
+    they come.  Class ids and root names are rendered once each.
+    """
+    yield (
+        f'{{\n  "n": {graph.shape.n},\n  "m": {graph.shape.m},\n  "mode": "{graph.mode}",\n'
+        f'  "degrees": [\n    {graph.lo},\n    {graph.hi}\n  ],\n  "classes": [\n'
+    )
+    yield from _class_blocks(graph.vertices)
+    if not graph.edges:
+        yield '\n  ],\n  "edges": []\n}'
+        return
+    yield '\n  ],\n  "edges": [\n'
     ids = [class_id(c) for c in graph.vertices]
-    return {
-        "n": graph.shape.n,
-        "m": graph.shape.m,
-        "mode": graph.mode,
-        "degrees": [graph.lo, graph.hi],
-        "classes": [class_json(c) for c in graph.vertices],
-        "edges": [
-            {"src": ids[a], "dst": ids[b], "root": render_root(root)}
-            for a, b, root in graph.edges
-        ],
-    }
+    names = {root: render_root(root) for root in {root for _, _, root in graph.edges}}
+    sep = ""
+    for start in range(0, len(graph.edges), 512):
+        yield sep + ",\n".join(
+            f'    {{\n      "src": "{ids[a]}",\n      "dst": "{ids[b]}",\n'
+            f'      "root": "{names[root]}"\n    }}'
+            for a, b, root in graph.edges[start:start + 512]
+        )
+        sep = ",\n"
+    yield "\n  ]\n}"
 
 
 def graph_dot(graph: MorphismGraph) -> str:

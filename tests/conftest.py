@@ -10,12 +10,15 @@ from oddbox.orbit import (
     UndefinedMorphism,
     act,
     all_signed_roots,
+    class_id,
+    class_json,
     classes_at_degree,
 )
 from oddbox.rect import (
     RectShape,
     diagram_of_word,
     identity_shuffle,
+    render_root,
     shuffle_of_diagram,
     solve_rotation,
     word_of_diagram,
@@ -139,6 +142,24 @@ def oracle_build_graph(shape, lo, hi, mode):
             if u is not None:
                 edges.add((t, u, root))
     return MorphismGraph(shape, mode, lo, hi, tuple(vertices), tuple(sorted(edges)))
+
+
+def oracle_graph_json(graph):
+    """The graph document as nested dicts, classes by ``class_json``;
+    ``json.dumps(..., indent=2)`` of it is the text ``graph_json_chunks``
+    writes."""
+    ids = [class_id(c) for c in graph.vertices]
+    return {
+        "n": graph.shape.n,
+        "m": graph.shape.m,
+        "mode": graph.mode,
+        "degrees": [graph.lo, graph.hi],
+        "classes": [class_json(c) for c in graph.vertices],
+        "edges": [
+            {"src": ids[a], "dst": ids[b], "root": render_root(root)}
+            for a, b, root in graph.edges
+        ],
+    }
 
 
 def oracle_enumerate_class(shape, pair):

@@ -208,12 +208,34 @@ def test_determinism(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "--n", "2", "--m", "3", "--deg=-4:9", "--mode", "cayley", "--format", "json"],
+        ["graph", "--n", "3", "--m", "4", "--deg", "2:2", "--format", "json"],
+        ["graph", "--n", "2", "--m", "3", "--deg", "0:6", "--format", "dot"],
+        ["degree", "--n", "3", "--m", "4", "--d", "0", "--format", "json"],
+    ],
+)
+def test_out_file_gets_the_bytes_of_stdout(capsys, tmp_path, argv):
+    assert run(argv) == 0
+    out, _ = out_of(capsys)
+    target = tmp_path / "out"
+    assert run([*argv, "--out", str(target)]) == 0
+    assert out_of(capsys) == ("", "")
+    assert target.read_bytes() == out.encode("utf-8")
+
+
 def test_out_to_missing_directory_is_a_usage_error(capsys, tmp_path):
     target = tmp_path / "missing" / "out.json"
-    args = ["graph", "--n", "2", "--m", "3", "--deg", "0:2", "--format", "json", "--out", str(target)]
-    assert run(args) == 2
-    out, err = out_of(capsys)
-    assert out == ""
-    assert err.count("\n") == 1
-    assert err.startswith("usage error:") and str(target) in err
-    assert not target.exists()
+    for argv in (
+        ["graph", "--n", "2", "--m", "3", "--deg", "0:2", "--format", "json"],
+        ["graph", "--n", "2", "--m", "3", "--deg", "0:2", "--format", "dot"],
+        ["degree", "--n", "3", "--m", "4", "--d", "0", "--format", "json"],
+    ):
+        assert run([*argv, "--out", str(target)]) == 2
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("usage error:") and str(target) in err
+        assert not target.exists()

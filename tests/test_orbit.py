@@ -1,9 +1,10 @@
 import json
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CLASS_SHAPES, oracle_build_graph, oracle_enumerate_class
+from conftest import CLASS_SHAPES, oracle_build_graph, oracle_enumerate_class, oracle_graph_json
 from oddbox import orbit, verify
 from oddbox.orbit import (
     AnchoredPair,
@@ -19,10 +20,11 @@ from oddbox.orbit import (
     class_json,
     classes_at_degree,
     classes_per_degree,
+    degree_json_chunks,
     edge_shift,
     enumerate_class,
     graph_dot,
-    graph_json,
+    graph_json_chunks,
     row_class,
 )
 from oddbox.rect import (
@@ -268,8 +270,47 @@ def test_build_graph_matches_vertex_by_vertex_oracle(shape, mode):
     that start below zero, hold a single degree or span more than a period."""
     mn = shape.n * shape.m
     for lo, hi in ((-mn - 2, mn + 1), (-3, -3), (5, 5), (-1, 2 * mn)):
-        got = graph_json(build_graph(shape, lo, hi, mode))
-        assert got == graph_json(oracle_build_graph(shape, lo, hi, mode)), (lo, hi)
+        got = oracle_graph_json(build_graph(shape, lo, hi, mode))
+        assert got == oracle_graph_json(oracle_build_graph(shape, lo, hi, mode)), (lo, hi)
+
+
+@pytest.mark.parametrize("mode", ["hasse", "cayley"])
+@pytest.mark.parametrize("shape", CLASS_SHAPES, ids=lambda s: f"{s.n}x{s.m}")
+def test_graph_json_chunks_match_the_dict_oracle(shape, mode):
+    """The streamed text is json.dumps(..., indent=2) of the dict document,
+    byte for byte, on the windows of the build oracle; a single degree has
+    no edges in either mode."""
+    mn = shape.n * shape.m
+    for lo, hi in ((-mn - 2, mn + 1), (-3, -3), (5, 5), (-1, 2 * mn)):
+        graph = build_graph(shape, lo, hi, mode)
+        text = "".join(graph_json_chunks(graph))
+        assert text == json.dumps(oracle_graph_json(graph), indent=2), (lo, hi)
+        assert text.endswith('"edges": []\n}') == (lo == hi), (lo, hi)
+
+
+@pytest.mark.parametrize("shape", CLASS_SHAPES, ids=lambda s: f"{s.n}x{s.m}")
+def test_degree_json_chunks_match_class_json(shape):
+    for d in (-shape.n * shape.m - 1, 0, 7):
+        classes = classes_at_degree(shape, d)
+        obj = {"n": shape.n, "m": shape.m, "degree": d, "classes": [class_json(c) for c in classes]}
+        assert "".join(degree_json_chunks(shape, d, classes)) == json.dumps(obj, indent=2), d
+
+
+def test_graph_json_renders_each_diagram_once(monkeypatch):
+    """One period of 5x6 has 13 860 representatives but only C(11, 5) = 462
+    distinct diagrams, and each diagram's word is rendered once."""
+    calls = []
+    exact = orbit.word_of_diagram
+
+    def counting(shape, parts):
+        calls.append(parts)
+        return exact(shape, parts)
+
+    graph = build_graph(RectShape(5, 6), 0, 29, "hasse")
+    monkeypatch.setattr(orbit, "word_of_diagram", counting)
+    assert sum(len(c.reps) for c in graph.vertices) == 13_860
+    assert "".join(graph_json_chunks(graph)).count('"word"') == 13_860
+    assert len(calls) <= comb(11, 5)
 
 
 def test_build_graph_acts_on_one_degree_only(monkeypatch):
@@ -308,7 +349,8 @@ def test_shifted_class_is_the_class_of_the_shifted_pair():
 
 def test_graph_json_and_dot_output():
     graph = build_graph(S23, 0, 2, "hasse")
-    obj = graph_json(graph)
+    obj = json.loads("".join(graph_json_chunks(graph)))
+    assert obj == oracle_graph_json(graph)
     assert obj["n"] == 2 and obj["m"] == 3
     assert len(obj["classes"]) == 6
     assert json.loads(json.dumps(obj)) == obj
