@@ -51,6 +51,7 @@ from .orbit import (
     build_graph,
     classes_at_degree,
     enumerate_class,
+    out_edges,
 )
 from .affine import (
     BorelAtlas,

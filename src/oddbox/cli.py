@@ -202,7 +202,7 @@ def cmd_graph(args) -> int:
     lo, hi = _parse_window(args.deg)
     graph = orbit.build_graph(shape, lo, hi, args.mode)
     if args.format == "dot":
-        _write(args, [orbit.graph_dot(graph)])
+        _write(args, orbit.graph_dot(graph))
         return 0
     if args.format == "json":
         _write(args, chain(orbit.graph_json_chunks(graph), ["\n"]))

@@ -12,17 +12,25 @@ The ``edge-moves`` check of the verification suite ties these moves to word
 rotation, and ``class-generators`` ties the walk to the closure under all
 four moves.
 
-The groupoid acts on classes through rotated roots: to apply a signed root
-to a class, pick any representative (diagram, k), split k = i*n + j*m, and
-apply the root rotated i times in columns and j times in rows, if that
-rotated box move is defined at the representative.  All admitting
+The groupoid acts on classes by swapping one mixed adjacent pair of the
+cyclic border word, as odd reflections act on affine Borels.  At the
+canonical representative (diagram, k) every mixed adjacent pair of the word
+is a box move; the pair that wraps around from the last letter to the first
+is one at the next representative, whose word is rotated by one letter.
+Split k = i*n + j*m: the box move adding row a, column b (the pair ``d``
+then ``r``, the shuffle entries a and b') is named by the global root
++(e_{a-j} - d_{b+i}), indices mod n and m, and the reverse pair by the
+negative root.  ``out_edges`` lists these roots with the classes they
+reach, and ``act`` looks a root up there.  The verification suite compares them with an
+independent scan (``admitting_reps``) that rotates the root to every
+representative and applies it wherever it is a box move: all admitting
 representatives land in the same class, which is what makes the action
-well defined; the verification suite checks this exhaustively.
+well defined.
 
 Row moves alone refine each class into m chains (``row_class``).  A chain
-is an ``OrbitClass`` too, and ``act`` takes it to the full class of the
-moved pair, which is how the ``refinement-bijection`` check of the
-verification suite compares the two actions.
+is an ``OrbitClass`` too, but its members are not in rotation order, so
+``out_edges`` and ``act`` take classes only; the ``refinement-bijection``
+check of the verification suite acts on a chain through the scan.
 
 Shifting every rotation number by one, ``(diagram, k) -> (diagram, k + 1)``,
 maps the classes of degree d onto those of degree d + 1 and commutes with the
@@ -51,14 +59,15 @@ from .rect import (
     render_root,
     rotate_root,
     rotated_root_at,
+    shuffle_of_diagram,
     solve_rotation,
     word_of_diagram,
 )
-from .reflect import admits, t_apply
+from .reflect import admits, pair_root, t_apply
 
 
 class UndefinedMorphism(DomainError):
-    """No representative of the class admits the (rotated) signed root."""
+    """The signed root is not among the out-edges of the class."""
 
 
 class GraphTooLarge(DomainError):
@@ -115,7 +124,9 @@ class OrbitClass:
     ``reps[0]`` is the member of minimal rotation number, unique because
     the rotation numbers of a class are pairwise distinct.  Equality and
     hashing compare ``reps``, so they agree with class equality for two
-    values from the same constructor.
+    values from the same constructor.  ``out_edges`` and ``act`` read the
+    rotation order, so they take classes from ``enumerate_class``, not
+    chains.
     """
 
     shape: RectShape
@@ -176,7 +187,12 @@ def all_signed_roots(shape: RectShape, signs=(1, -1)) -> tuple[OddRoot, ...]:
 
 
 def admitting_reps(cls: OrbitClass, root: OddRoot) -> list[tuple[AnchoredPair, OddRoot]]:
-    """Representatives at which the rotated root is an actual box move."""
+    """Representatives at which the rotated root is an actual box move.
+
+    This scan tries the root at every representative.  It is the reference
+    that ``out_edges`` is checked against, and it also acts on row-move
+    chains, whose members are not in rotation order.
+    """
     out = []
     for rep in cls.reps:
         rot = rotated_root_at(cls.shape, root, rep.k)
@@ -185,18 +201,40 @@ def admitting_reps(cls: OrbitClass, root: OddRoot) -> list[tuple[AnchoredPair, O
     return out
 
 
+def out_edges(cls: OrbitClass) -> dict[OddRoot, OrbitClass]:
+    """Every signed root defined on a class, with the class it moves to.
+
+    Each mixed adjacent pair of the cyclic shuffle is one root: the pairs
+    inside the shuffle of ``reps[0]``, and the wrap pair, which is the last
+    pair of ``reps[1]``, the next rotation.  A box move at a representative
+    (diagram, k) is named globally by rotating it back by
+    ``solve_rotation(k)``, and its image is the class of the moved diagram at
+    the same k.  ``cls`` must list its members in rotation order, as
+    ``enumerate_class`` does.
+    """
+    shape, size = cls.shape, cls.shape.size
+    edges = {}
+    for rep, starts in ((cls.reps[0], range(size - 1)), (cls.reps[1], (size - 2,))):
+        shuf = shuffle_of_diagram(shape, rep.diagram)
+        i, j = solve_rotation(shape, rep.k)
+        for t in starts:
+            box = pair_root(shape, (shuf[t], shuf[t + 1]))
+            if box is not None:
+                moved = AnchoredPair(t_apply(shape, rep.diagram, box), rep.k)
+                edges[rotate_root(shape, box, -i, -j)] = enumerate_class(shape, moved)
+    return edges
+
+
 def act(cls: OrbitClass, root: OddRoot) -> OrbitClass:
-    """Apply a signed root to a class via the first admitting representative."""
-    shape = cls.shape
-    for rep in cls.reps:
-        rot = rotated_root_at(shape, root, rep.k)
-        if admits(shape, rep.diagram, rot):
-            moved = t_apply(shape, rep.diagram, rot)
-            return enumerate_class(shape, AnchoredPair(moved, rep.k))
-    raise UndefinedMorphism(
-        f"{render_root(root)} undefined on the class of "
-        f"{render_diagram(cls.canonical.diagram)}@{cls.canonical.k}"
-    )
+    """Apply a signed root to a class: its entry in ``out_edges``, or
+    ``UndefinedMorphism`` when the root has none."""
+    image = out_edges(cls).get(root)
+    if image is None:
+        raise UndefinedMorphism(
+            f"{render_root(root)} undefined on the class of "
+            f"{render_diagram(cls.canonical.diagram)}@{cls.canonical.k}"
+        )
+    return image
 
 
 def classes_at_degree(shape: RectShape, d: int) -> tuple[OrbitClass, ...]:
@@ -286,14 +324,13 @@ def build_graph(shape: RectShape, lo: int, hi: int, mode: str = "hasse") -> Morp
     _refuse_over_cap(shape, per_degree * span, f"classes in degrees {lo}..{hi}")
     base = classes_at_degree(shape, lo)
     rank = {c.canonical.diagram: t for t, c in enumerate(base)}
-    roots = all_signed_roots(shape, (1,) if mode == "hasse" else (1, -1))
+    signs = (1,) if mode == "hasse" else (1, -1)
+    roots = all_signed_roots(shape, signs)
     targets: dict[tuple[int, OddRoot], int] = {}
     for t, cls in enumerate(base):
-        for root in roots:
-            try:
-                targets[t, root] = rank[act(cls, root).canonical.diagram]
-            except UndefinedMorphism:
-                pass
+        for root, image in out_edges(cls).items():
+            if root.sign in signs:
+                targets[t, root] = rank[image.canonical.diagram]
     i1, j1 = solve_rotation(shape, 1)
     edges = []
     for s in range(span):
@@ -412,19 +449,27 @@ def graph_json_chunks(graph: MorphismGraph) -> Iterator[str]:
     yield "\n  ]\n}"
 
 
-def graph_dot(graph: MorphismGraph) -> str:
-    """Graphviz output; hasse mode ranks the nodes by degree."""
-    lines = ["digraph classes {"]
-    if graph.mode == "hasse":
-        lines.append("  rankdir=LR;")
+def graph_dot(graph: MorphismGraph) -> Iterator[str]:
+    """Graphviz output in pieces: a header, the node lines 512 at a time,
+    in hasse mode one rank line per degree, then the edge lines 512 at a
+    time and the closing brace.
+
+    As with ``graph_json_chunks``, nothing document-sized is built.
+    """
+    yield "digraph classes {\n" + ("  rankdir=LR;\n" if graph.mode == "hasse" else "")
     ids = [class_id(c) for c in graph.vertices]
-    for cid, cls in zip(ids, graph.vertices):
-        label = f"{render_diagram(cls.canonical.diagram)}^{cls.canonical.k}"
-        lines.append(f'  "{cid}" [label="{label}"];')
+    for start in range(0, len(ids), 512):
+        yield "".join(
+            f'  "{cid}" [label="{render_diagram(cls.canonical.diagram)}^{cls.canonical.k}"];\n'
+            for cid, cls in zip(ids[start:start + 512], graph.vertices[start:start + 512])
+        )
     if graph.mode == "hasse":
-        for layer in graph_layers(graph).values():
-            lines.append("  { rank=same; " + " ".join(f'"{class_id(c)}";' for c in layer) + " }")
-    for a, b, root in graph.edges:
-        lines.append(f'  "{ids[a]}" -> "{ids[b]}" [label="{render_root(root)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        for _, layer in groupby(zip(ids, graph.vertices), key=lambda pair: pair[1].degree):
+            yield "  { rank=same; " + " ".join(f'"{cid}";' for cid, _ in layer) + " }\n"
+    names = {root: render_root(root) for root in {root for _, _, root in graph.edges}}
+    for start in range(0, len(graph.edges), 512):
+        yield "".join(
+            f'  "{ids[a]}" -> "{ids[b]}" [label="{names[root]}"];\n'
+            for a, b, root in graph.edges[start:start + 512]
+        )
+    yield "}\n"

@@ -207,33 +207,47 @@ def _class_generators(shape, window):
     return bad
 
 
+def _scan_targets(cls, root):
+    """The classes that ``root`` reaches from the admitting representatives
+    of ``cls``, found by the representative scan, not by ``out_edges``."""
+    return {
+        orbit.enumerate_class(cls.shape, orbit.AnchoredPair(reflect.t_apply(cls.shape, rep.diagram, rot), rep.k))
+        for rep, rot in orbit.admitting_reps(cls, root)
+    }
+
+
 def _action_well_defined(shape, window):
+    """Every admitting representative of a class sends a root to the same
+    class, and that class is the root's entry in ``out_edges``; a root no
+    representative admits has no entry."""
     bad = []
+    roots = orbit.all_signed_roots(shape)
     for d in range(*window):
         for cls in orbit.classes_at_degree(shape, d):
-            for root in orbit.all_signed_roots(shape):
-                targets = {
-                    orbit.enumerate_class(
-                        shape,
-                        orbit.AnchoredPair(reflect.t_apply(shape, rep.diagram, rot), rep.k),
-                    ).canonical
-                    for rep, rot in orbit.admitting_reps(cls, root)
-                }
+            edges = orbit.out_edges(cls)
+            scan = {}
+            for root in roots:
+                targets = _scan_targets(cls, root)
                 if len(targets) > 1:
                     bad.append(f"{rect.render_root(root)} at {orbit.class_id(cls)} hits {len(targets)} classes")
+                elif targets:
+                    scan[root] = targets.pop()
+            for root in sorted(set(scan) | set(edges)):
+                if scan.get(root) != edges.get(root):
+                    bad.append(f"out_edges and the scan differ on {rect.render_root(root)} at {orbit.class_id(cls)}")
     return bad
 
 
 def _plain_embedding(shape, window):
     bad = []
     for parts in rect.all_diagrams(shape):
-        cls = orbit.enumerate_class(shape, (parts, 0))
+        edges = orbit.out_edges(orbit.enumerate_class(shape, (parts, 0)))
         for root in orbit.all_signed_roots(shape):
             if not reflect.admits(shape, parts, root):
                 continue
-            image = orbit.act(cls, root)
+            image = edges.get(root)
             plain = orbit.AnchoredPair(reflect.t_apply(shape, parts, root), 0)
-            if plain not in image.reps:
+            if image is None or plain not in image.reps:
                 bad.append(f"embedding not equivariant at {parts}, {rect.render_root(root)}")
     return bad
 
@@ -256,43 +270,34 @@ def _degree_counts(shape, window):
     return bad
 
 
-def _image(cls, root):
-    """``act(cls, root)``, or None where the root is undefined on the class."""
-    try:
-        return orbit.act(cls, root)
-    except orbit.UndefinedMorphism:
-        return None
-
-
 def _degree_shift(shape, window):
     """Raising every rotation number by one maps the classes of degree d onto
     those of degree d + 1, and ``act(c.shifted(1), r)`` equals
     ``act(c, rho(r)).shifted(1)``, undefined matching undefined, where rho
     rotates roots by ``solve_rotation(shape, 1)``.  Checked from every degree
-    d of the window to d + 1, computing each degree's acts once."""
+    d of the window to d + 1, reading each class's ``out_edges`` once."""
     bad = []
     i1, j1 = rect.solve_rotation(shape, 1)
     roots = orbit.all_signed_roots(shape)
 
     def acts(d):
-        classes = orbit.classes_at_degree(shape, d)
-        return classes, {(cls, root): _image(cls, root) for cls in classes for root in roots}
+        return {cls: orbit.out_edges(cls) for cls in orbit.classes_at_degree(shape, d)}
 
     lo, hi = window
-    below, before = acts(lo)
+    before = acts(lo)
     for d in range(lo, hi):
-        above, after = acts(d + 1)
-        if {cls.shifted(1) for cls in below} != set(above):
+        after = acts(d + 1)
+        if {cls.shifted(1) for cls in before} != set(after):
             bad.append(f"degree {d} does not shift onto degree {d + 1}")
-        for cls in below:
-            up = cls.shifted(1)
+        for cls, edges in before.items():
+            up = after.get(cls.shifted(1))
+            if up is None:
+                continue
             for root in roots:
-                if (up, root) not in after:
-                    continue
-                image = before[cls, rect.rotate_root(shape, root, i1, j1)]
-                if after[up, root] != (None if image is None else image.shifted(1)):
+                image = edges.get(rect.rotate_root(shape, root, i1, j1))
+                if up.get(root) != (None if image is None else image.shifted(1)):
                     bad.append(f"{rect.render_root(root)} does not commute with the shift at {orbit.class_id(cls)}")
-        below, before = above, after
+        before = after
     return bad
 
 
@@ -318,9 +323,10 @@ def _vss(shape, window):
 
     For each degree of the window the row-move chains of the pairs whose
     rotation number is divisible by m are matched against the classes: the
-    map must be well defined, injective and onto, and ``act`` must agree on a
-    chain and on its class, undefined matching undefined, for every signed
-    root.
+    map must be well defined, injective and onto, and the action must agree
+    on a chain and on its class, undefined matching undefined, for every
+    signed root.  A chain is not in rotation order, so its side is the
+    representative scan; the class side is ``out_edges``.
     """
     bad = []
     roots = orbit.all_signed_roots(shape)
@@ -344,12 +350,12 @@ def _vss(shape, window):
             bad.append(f"degree {d}: map is not onto the {len(right)} classes")
         for key in sorted(left):
             rc = left[key]
-            cls = orbit.enumerate_class(shape, rc.canonical)
+            edges = orbit.out_edges(orbit.enumerate_class(shape, rc.canonical))
             for root in roots:
-                fine, coarse = _image(rc, root), _image(cls, root)
-                if (fine is None) != (coarse is None):
+                fine, coarse = _scan_targets(rc, root), edges.get(root)
+                if (not fine) != (coarse is None):
                     bad.append(f"degree {d}: definedness of {rect.render_root(root)} differs at {key}")
-                elif fine != coarse:
+                elif fine and fine != {coarse}:
                     bad.append(f"degree {d}: {rect.render_root(root)} images differ at {key}")
     return bad
 
@@ -430,8 +436,9 @@ def _borel_equivariance(shape, window):
                     if nb != borel(nb.pair()):
                         bad.append(f"a move or reflection from {_pair_id(rep)} disagrees at {_pair_id(nb.pair())}")
             dk = borel(cls.canonical).dk
+            edges = orbit.out_edges(cls)
             for root in orbit.all_signed_roots(shape):
-                image = _image(cls, root)
+                image = edges.get(root)
                 try:
                     moved = affine.borel_act(dk, root)
                 except orbit.UndefinedMorphism:

@@ -7,12 +7,12 @@ from oddbox.orbit import (
     AnchoredPair,
     MorphismGraph,
     OrbitClass,
-    UndefinedMorphism,
-    act,
+    admitting_reps,
     all_signed_roots,
     class_id,
     class_json,
     classes_at_degree,
+    enumerate_class,
 )
 from oddbox.rect import (
     RectShape,
@@ -23,7 +23,7 @@ from oddbox.rect import (
     solve_rotation,
     word_of_diagram,
 )
-from oddbox.reflect import NotEligible
+from oddbox.reflect import NotEligible, t_apply
 
 # every shape with m + n <= 9, and the coprime ones among them
 ALL_SHAPES = [
@@ -122,8 +122,9 @@ def oracle_build_graph(shape, lo, hi, mode):
     """The graph of degrees lo..hi built vertex by vertex.
 
     Every degree of the window is enumerated on its own and every class is
-    acted on by every root of the mode; an edge is kept when its target lies
-    in the window.
+    acted on by every root of the mode through the representative scan
+    (``admitting_reps``), not through ``out_edges``; an edge is kept when its
+    target lies in the window.
     """
     vertices = []
     for d in range(lo, hi + 1):
@@ -134,10 +135,11 @@ def oracle_build_graph(shape, lo, hi, mode):
     edges = set()
     for t, cls in enumerate(vertices):
         for root in all_signed_roots(shape, signs):
-            try:
-                target = act(cls, root)
-            except UndefinedMorphism:
+            hits = admitting_reps(cls, root)
+            if not hits:
                 continue
+            rep, rot = hits[0]
+            target = enumerate_class(shape, (t_apply(shape, rep.diagram, rot), rep.k))
             u = index.get(target.canonical)
             if u is not None:
                 edges.add((t, u, root))

@@ -25,6 +25,7 @@ from oddbox.orbit import (
     enumerate_class,
     graph_dot,
     graph_json_chunks,
+    out_edges,
     row_class,
 )
 from oddbox.rect import (
@@ -33,9 +34,10 @@ from oddbox.rect import (
     RectShape,
     ShapeUnsupported,
     all_diagrams,
+    diagram_of_word,
     word_of_diagram,
 )
-from oddbox.reflect import EDGE_OPS, NotEligible, diagram_edge, t_apply
+from oddbox.reflect import EDGE_OPS, NotEligible, diagram_edge
 
 S23 = RectShape(2, 3)
 S34 = RectShape(3, 4)
@@ -138,18 +140,34 @@ def test_act_examples(start, k, root, target):
 
 
 def test_act_well_defined_across_representatives():
+    """All admitting representatives reach one class, and it is the root's
+    entry in out_edges; a root no representative admits has no entry."""
     for shape in (S23, S34):
         for d in range(0, shape.n * shape.m + 1):
             for cls in classes_at_degree(shape, d):
+                edges = out_edges(cls)
                 for root in all_signed_roots(shape):
-                    hits = admitting_reps(cls, root)
-                    targets = {
-                        enumerate_class(shape, (t_apply(shape, rep.diagram, rot), rep.k)).canonical
-                        for rep, rot in hits
-                    }
-                    assert len(targets) <= 1
-                    if hits:
-                        assert act(cls, root).canonical == targets.pop()
+                    targets = verify._scan_targets(cls, root)
+                    assert targets == ({edges[root]} if root in edges else set())
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([RectShape(5, 8), RectShape(7, 9), RectShape(8, 11)]),
+    st.data(),
+    st.integers(-10**6, 10**6),
+)
+def test_out_edges_match_the_scan_far_from_zero(shape, data, k):
+    """Past the exhaustive range, on a random word at a random k: out_edges
+    has one key per mixed adjacent pair of the cyclic word and agrees with
+    the representative scan on every signed root."""
+    downs = data.draw(st.sets(st.integers(0, shape.size - 1), min_size=shape.n, max_size=shape.n))
+    word = "".join("d" if t in downs else "r" for t in range(shape.size))
+    cls = enumerate_class(shape, (diagram_of_word(shape, word), k))
+    edges = out_edges(cls)
+    assert len(edges) == sum(word[t - 1] != word[t] for t in range(shape.size))
+    for root in all_signed_roots(shape):
+        assert verify._scan_targets(cls, root) == ({edges[root]} if root in edges else set())
 
 
 def test_act_undefined_raises():
@@ -314,7 +332,7 @@ def test_graph_json_renders_each_diagram_once(monkeypatch):
 
 
 def test_build_graph_acts_on_one_degree_only(monkeypatch):
-    calls = {"classes_at_degree": 0, "act": 0}
+    calls = {"classes_at_degree": 0, "out_edges": 0}
 
     def counting(name):
         exact = getattr(orbit, name)
@@ -330,7 +348,7 @@ def test_build_graph_acts_on_one_degree_only(monkeypatch):
     graph = build_graph(S34, -20, 30, "cayley")
     assert len(graph.vertices) == 51 * classes_per_degree(S34)
     assert calls["classes_at_degree"] == 1
-    assert calls["act"] <= classes_per_degree(S34) * len(all_signed_roots(S34))
+    assert calls["out_edges"] == classes_per_degree(S34)
 
 
 def test_build_graph_refuses_windows_over_the_vertex_cap(monkeypatch):
@@ -356,7 +374,7 @@ def test_graph_json_and_dot_output():
     assert json.loads(json.dumps(obj)) == obj
     ids = {class_id(c) for c in graph.vertices}
     assert {e["src"] for e in obj["edges"]} <= ids
-    dot = graph_dot(graph)
+    dot = "".join(graph_dot(graph))
     assert dot.startswith("digraph classes {")
     for cid in ids:
         assert f'"{cid}"' in dot

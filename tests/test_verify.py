@@ -79,21 +79,52 @@ def test_refinement_checks_catch_a_collapsed_row_class(monkeypatch):
     assert not results["refinement-bijection"].ok
 
 
+def _canonical_only(exact):
+    """out_edges without the wrap-pair edge: only the roots that the canonical
+    representative admits as box moves."""
+
+    def fault(cls):
+        head = orbit.OrbitClass(cls.shape, cls.reps[:1])
+        return {root: image for root, image in exact(cls).items() if orbit.admitting_reps(head, root)}
+
+    return fault
+
+
 def test_degree_shift_catches_an_action_that_sees_the_parity_of_k(monkeypatch):
-    """An act that tries only the canonical representative on classes of odd
-    canonical k misses the roots that representative does not admit; the
-    shift by one turns odd k into even, so the two sides disagree."""
-    exact = orbit.act
+    """An out_edges that drops the wrap-pair edge on classes of odd canonical
+    k misses a root there; the shift by one turns odd k into even, so the two
+    sides disagree."""
+    exact = orbit.out_edges
+    drop_wrap = _canonical_only(exact)
 
-    def canonical_only(cls, root):
-        if cls.canonical.k % 2 == 0:
-            return exact(cls, root)
-        return exact(orbit.OrbitClass(cls.shape, cls.reps[:1]), root)
+    def parity_of_k(cls):
+        return exact(cls) if cls.canonical.k % 2 == 0 else drop_wrap(cls)
 
-    monkeypatch.setattr(orbit, "act", canonical_only)
+    monkeypatch.setattr(orbit, "out_edges", parity_of_k)
     results = {r.name: r for r in run_all(RectShape(2, 3))}
     assert not results["degree-shift"].ok
     assert "does not commute with the shift" in results["degree-shift"].detail
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        _canonical_only,
+        lambda exact: lambda cls: {root: cls for root in exact(cls)},
+        lambda exact: lambda cls: {
+            **exact(cls),
+            next(r for r in orbit.all_signed_roots(cls.shape) if r not in exact(cls)): cls,
+        },
+    ],
+    ids=["missing-edge", "wrong-image", "extra-root"],
+)
+def test_action_well_defined_catches_a_broken_out_edges(monkeypatch, fault):
+    """The representative scan is independent of out_edges, so a missing
+    edge, a wrong image or an edge for a root no representative admits is
+    reported."""
+    monkeypatch.setattr(orbit, "out_edges", fault(orbit.out_edges))
+    bad = verify._action_well_defined(RectShape(2, 3), (0, 6))
+    assert bad and all("out_edges and the scan differ" in v for v in bad)
 
 
 def _repeat_a_rep(exact):
@@ -122,7 +153,7 @@ FAULTS = {
     "corner-actions": (reflect, "corners", lambda exact: lambda shape, parts: exact(shape, parts)[::-1]),
     "edge-moves": (reflect, "shuffle_edge", lambda exact: lambda shape, shuf, which: shuf),
     "row-column-compatibility": (rect, "rotate_root", lambda exact: lambda shape, root, i=0, j=0: root),
-    "plain-embedding": (orbit, "act", lambda exact: lambda cls, root: cls),
+    "plain-embedding": (orbit, "out_edges", lambda exact: lambda cls: {root: cls for root in exact(cls)}),
     "class-anatomy": (
         orbit,
         "classes_at_degree",
