@@ -38,7 +38,8 @@ breadth-first search over those moves and reflections from the extension of
 the distinguished shuffle, and with rotating ``extend`` node by node.
 """
 
-from dataclasses import dataclass
+from operator import add, mul, neg, sub
+from typing import NamedTuple
 
 from .rect import (
     DomainError,
@@ -80,8 +81,7 @@ class NotTypeA(DomainError):
     """The cyclic diagram does not encode a border word."""
 
 
-@dataclass(frozen=True, order=True)
-class GlobalRoot:
+class GlobalRoot(NamedTuple):
     """An integer vector over the basis e_1..e_n, d_1..d_m, dbar."""
 
     eps: tuple[int, ...]
@@ -90,24 +90,24 @@ class GlobalRoot:
 
     def __add__(self, other: "GlobalRoot") -> "GlobalRoot":
         return GlobalRoot(
-            tuple(a + b for a, b in zip(self.eps, other.eps)),
-            tuple(a + b for a, b in zip(self.dels, other.dels)),
+            tuple(map(add, self.eps, other.eps)),
+            tuple(map(add, self.dels, other.dels)),
             self.dbar + other.dbar,
         )
 
     def __neg__(self) -> "GlobalRoot":
-        return GlobalRoot(
-            tuple(-a for a in self.eps), tuple(-a for a in self.dels), -self.dbar
-        )
+        return GlobalRoot(tuple(map(neg, self.eps)), tuple(map(neg, self.dels)), -self.dbar)
 
     def __sub__(self, other: "GlobalRoot") -> "GlobalRoot":
-        return self + (-other)
+        return GlobalRoot(
+            tuple(map(sub, self.eps, other.eps)),
+            tuple(map(sub, self.dels, other.dels)),
+            self.dbar - other.dbar,
+        )
 
     def pair(self, other: "GlobalRoot") -> int:
         """The bilinear form; dbar contributes nothing."""
-        plus = sum(a * b for a, b in zip(self.eps, other.eps))
-        minus = sum(a * b for a, b in zip(self.dels, other.dels))
-        return plus - minus
+        return sum(map(mul, self.eps, other.eps)) - sum(map(mul, self.dels, other.dels))
 
     @property
     def isotropic(self) -> bool:
@@ -150,20 +150,24 @@ def dbar_root(shape: RectShape) -> GlobalRoot:
     return GlobalRoot((0,) * shape.n, (0,) * shape.m, 1)
 
 
-@dataclass(frozen=True)
-class CyclicDK:
+class _Cycle(NamedTuple):
+    shape: RectShape
+    nodes: tuple[GlobalRoot, ...]
+
+
+class CyclicDK(_Cycle):
     """A cyclic arrangement of m + n global roots; grey nodes are isotropic.
 
     Valid diagrams have node sum dbar, an even positive number of grey
     nodes, and a full Gram matrix with all row sums zero.
     """
 
-    shape: RectShape
-    nodes: tuple[GlobalRoot, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.nodes) != self.shape.size:
-            raise ValueError(f"expected {self.shape.size} nodes, got {len(self.nodes)}")
+    def __new__(cls, shape: RectShape, nodes: tuple[GlobalRoot, ...]):
+        if len(nodes) != shape.size:
+            raise ValueError(f"expected {shape.size} nodes, got {len(nodes)}")
+        return tuple.__new__(cls, (shape, nodes))
 
     @property
     def size(self) -> int:
@@ -174,13 +178,22 @@ class CyclicDK:
         return tuple(r.isotropic for r in self.nodes)
 
     def node_sum(self) -> GlobalRoot:
-        total = self.nodes[0]
-        for r in self.nodes[1:]:
-            total = total + r
-        return total
+        nodes = self.nodes
+        return GlobalRoot(
+            tuple(map(sum, zip(*(r.eps for r in nodes)))),
+            tuple(map(sum, zip(*(r.dels for r in nodes)))),
+            sum(r.dbar for r in nodes),
+        )
 
     def gram(self) -> list[list[int]]:
-        return [[a.pair(b) for b in self.nodes] for a in self.nodes]
+        """The full cyclic Gram matrix.  The form is symmetric, so each
+        pair of nodes is paired once."""
+        nodes, size = self.nodes, len(self.nodes)
+        rows = [[0] * size for _ in nodes]
+        for s, a in enumerate(nodes):
+            for t in range(s, size):
+                rows[s][t] = rows[t][s] = a.pair(nodes[t])
+        return rows
 
     def reflect(self, node: int) -> "CyclicDK":
         """Negate a grey node's vector and add it to both cyclic neighbours,
@@ -195,8 +208,7 @@ class CyclicDK:
         return CyclicDK(self.shape, tuple(nodes))
 
 
-@dataclass(frozen=True)
-class FiniteBorel:
+class FiniteBorel(NamedTuple):
     """A finite Borel of one copy inside the affinization.
 
     The node vectors other than ``nodes[deleted]`` are, read cyclically

@@ -41,7 +41,6 @@ degree of its window; the ``degree-shift`` check of the verification suite
 tests both facts.  Everything here is an immutable value.
 """
 
-from dataclasses import dataclass
 from itertools import groupby
 from math import comb
 from typing import Iterator, NamedTuple
@@ -55,6 +54,7 @@ from .rect import (
     ShapeUnsupported,
     all_diagrams,
     check_diagram,
+    check_root,
     render_diagram,
     render_root,
     rotate_root,
@@ -115,8 +115,7 @@ class AnchoredPair(NamedTuple):
         return sum(self.diagram) + self.k
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(NamedTuple):
     """The representatives of one class, canonical first.
 
     ``enumerate_class`` lists all m + n members of a class in rotation
@@ -170,10 +169,11 @@ def enumerate_class(shape: RectShape, pair) -> OrbitClass:
     for _ in range(shape.size):
         seq.append(AnchoredPair(p, k))
         if p[-1]:
-            p, k = tuple(x - 1 for x in p), k + n
+            p, k = tuple([x - 1 for x in p]), k + n
         else:
             p, k = (m,) + p[:-1], k - m
-    start = min(range(len(seq)), key=lambda t: seq[t].k)
+    ks = [rep.k for rep in seq]
+    start = ks.index(min(ks))
     return OrbitClass(shape, tuple(seq[start:] + seq[:start]))
 
 
@@ -227,7 +227,9 @@ def out_edges(cls: OrbitClass) -> dict[OddRoot, OrbitClass]:
 
 def act(cls: OrbitClass, root: OddRoot) -> OrbitClass:
     """Apply a signed root to a class: its entry in ``out_edges``, or
-    ``UndefinedMorphism`` when the root has none."""
+    ``UndefinedMorphism`` when the root has none.  A root outside the box
+    raises ``ValueError``, as in ``affine.borel_act``."""
+    check_root(cls.shape, root)
     image = out_edges(cls).get(root)
     if image is None:
         raise UndefinedMorphism(
@@ -286,8 +288,7 @@ def approx_decompose(cls: OrbitClass) -> tuple[tuple[AnchoredPair, ...], ...]:
     return tuple(tuple(p) for p in parts)
 
 
-@dataclass(frozen=True)
-class MorphismGraph:
+class MorphismGraph(NamedTuple):
     """Classes in a degree window with their morphism edges.
 
     Vertices are sorted by degree.  Edges are (source index, target index,

@@ -25,9 +25,9 @@ values, so everything here can be shared freely between threads or tasks.
 """
 
 import re
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import gcd
+from typing import NamedTuple
 
 Parts = tuple[int, ...]
 Shuffle = tuple[int, ...]
@@ -45,16 +45,20 @@ class ShapeUnsupported(DomainError):
     """The box shape lies outside this operation's domain."""
 
 
-@dataclass(frozen=True)
-class RectShape:
-    """An n-row, m-column box."""
-
+class _Box(NamedTuple):
     n: int
     m: int
 
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"box needs positive dimensions, got {self.n}x{self.m}")
+
+class RectShape(_Box):
+    """An n-row, m-column box."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, m: int):
+        if n < 1 or m < 1:
+            raise ValueError(f"box needs positive dimensions, got {n}x{m}")
+        return tuple.__new__(cls, (n, m))
 
     @property
     def coprime(self) -> bool:
@@ -66,21 +70,25 @@ class RectShape:
         return self.n + self.m
 
 
-@dataclass(frozen=True, order=True)
-class OddRoot:
+class _SignedIJ(NamedTuple):
+    sign: int
+    i: int
+    j: int
+
+
+class OddRoot(_SignedIJ):
     """A signed isotropic root, sign * (e_i - d_j).
 
     One signed root names one groupoid morphism: +(e_i - d_j) adds the box
     in row i, column j, and -(e_i - d_j) removes it.
     """
 
-    sign: int
-    i: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"root sign must be +1 or -1, got {self.sign!r}")
+    def __new__(cls, sign: int, i: int, j: int):
+        if sign not in (1, -1):
+            raise ValueError(f"root sign must be +1 or -1, got {sign!r}")
+        return tuple.__new__(cls, (sign, i, j))
 
     def negated(self) -> "OddRoot":
         return OddRoot(-self.sign, self.i, self.j)
@@ -211,9 +219,9 @@ def solve_rotation(shape: RectShape, k: int) -> tuple[int, int]:
     >>> solve_rotation(RectShape(2, 3), -4)
     (1, 0)
     """
-    if not shape.coprime:
-        raise NonCoprimeShape(f"gcd({shape.n}, {shape.m}) != 1")
-    n, m = shape.n, shape.m
+    n, m = shape
+    if gcd(n, m) != 1:
+        raise NonCoprimeShape(f"gcd({n}, {m}) != 1")
     i = (k * pow(n, -1, m)) % m if m > 1 else 0
     j = ((k - i * n) // m) % n if n > 1 else 0
     return i, j

@@ -11,7 +11,7 @@ of the groupoid are partial by nature and callers that explore orbits treat
 these errors as "undefined here" rather than as faults.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .rect import (
     DomainError,
@@ -132,8 +132,7 @@ def p_apply(shape: RectShape, word: str, root: OddRoot) -> str:
 EDGE_OPS = ("-r", "+r", "-c", "+c")
 
 
-@dataclass(frozen=True)
-class EdgeFlags:
+class EdgeFlags(NamedTuple):
     """Membership of a diagram in the domains of the four row/column moves.
 
     row_full:      bottom row has m boxes, "-r" deletes it

@@ -5,6 +5,19 @@ for class-level checks, over a degree window) and reports violations as
 strings; an empty list is a pass.  Checks that need coprimality or exclude
 the 1x1 box are skipped with a note on other shapes, except for the guard
 checks, which assert that those shapes are refused.
+
+The class-level checks run in step, degree by degree, and read one shared
+table (``_ClassTable``) instead of enumerating and acting on each degree
+themselves: each degree's classes come from one ``orbit.classes_at_degree``
+call and each class's out-edges from one ``orbit.out_edges`` call, with
+each image resolved to the table's own class object where the table holds
+its degree.  The table is built inside each run, so a
+function patched before the run is what the table reads, and it drops the
+degrees that no check can still read, so memory stays flat in the width of
+the window.  The checks keep their own references: the representative scan
+of ``action-well-defined`` and ``refinement-bijection`` still calls
+``orbit.admitting_reps`` and ``orbit.rotated_root_at``, and
+``borel-equivariance`` its own ``affine.transitions`` sweep.
 """
 
 from typing import Callable, NamedTuple
@@ -164,11 +177,89 @@ def _row_col_compat(shape, window):
     return bad
 
 
-def _class_anatomy(shape, window):
+class _ClassTable:
+    """The classes of each degree and their out-edges, shared by the class
+    checks of one sweep.
+
+    ``classes(d)`` calls ``orbit.classes_at_degree`` and ``edges(d)`` calls
+    ``orbit.out_edges`` on each class of degree d, each once while degree d
+    is held.  An image equal to a held class one degree below or above is
+    replaced by that class object, so images share the table's classes
+    instead of copying them.  ``steps`` are the degrees the sweep stops at;
+    ``keep(d)`` drops every degree below d - 1 and every degree that is not a
+    step, so memory stays flat in the width of the window.
+    """
+
+    def __init__(self, shape: rect.RectShape, steps):
+        self.shape = shape
+        self.steps = frozenset(steps)
+        self._classes: dict[int, tuple[orbit.OrbitClass, ...]] = {}
+        self._edges: dict[int, dict[orbit.OrbitClass, dict]] = {}
+
+    def classes(self, d: int) -> tuple[orbit.OrbitClass, ...]:
+        if d not in self._classes:
+            self._classes[d] = orbit.classes_at_degree(self.shape, d)
+        return self._classes[d]
+
+    def edges(self, d: int) -> dict[orbit.OrbitClass, dict]:
+        """``{cls: orbit.out_edges(cls)}`` for the classes of degree d."""
+        if d not in self._edges:
+            if d + 1 in self.steps:
+                self.classes(d + 1)  # so that the images one degree up are shared
+            held = {c: c for e in (d - 1, d + 1) for c in self._classes.get(e, ())}
+            self._edges[d] = {
+                cls: {root: held.get(image, image) for root, image in orbit.out_edges(cls).items()}
+                for cls in self.classes(d)
+            }
+        return self._edges[d]
+
+    def keep(self, d: int) -> None:
+        for e in [e for e in self._classes if e < d - 1 or e not in self.steps]:
+            del self._classes[e]
+            self._edges.pop(e, None)
+
+
+def _sweep(shape: rect.RectShape, window: tuple[int, int], checks) -> list:
+    """Run class-level checks in step over one ``_ClassTable``.
+
+    A check is a generator that yields a degree before it reads that degree
+    from the table, and returns its violations.  The sweep resumes the
+    checks waiting for the lowest degree, after dropping the degrees that no
+    check can still read.  The steps are the window, its upper end, which
+    ``degree-shift`` reaches, and the degrees 0..mn of ``plain-embedding``.
+    Returns, check by check, its violations or the exception it raised.
+    """
+    lo, hi = window
+    table = _ClassTable(shape, {*range(lo, hi + 1), *range(shape.n * shape.m + 1)})
+    results = [None] * len(checks)
+    waiting = {}  # degree -> the (index, generator) of each check waiting for it
+
+    def advance(t, sweep):
+        try:
+            d = next(sweep)
+        except StopIteration as stop:
+            results[t] = stop.value
+        except Exception as exc:  # a crash fails its own check, not the sweep
+            results[t] = exc
+        else:
+            waiting.setdefault(d, []).append((t, sweep))
+
+    for t, check in enumerate(checks):
+        advance(t, check(shape, table, window))
+    while waiting:
+        d = min(waiting)
+        table.keep(d)
+        for t, sweep in waiting.pop(d):
+            advance(t, sweep)
+    return results
+
+
+def _class_anatomy(shape, table, window):
     bad = []
     mn = shape.n * shape.m
     for d in range(*window):
-        for cls in orbit.classes_at_degree(shape, d):
+        yield d
+        for cls in table.classes(d):
             ks = [rep.k for rep in cls.reps]
             if len(cls.reps) != shape.size:
                 bad.append(f"class {orbit.class_id(cls)} has {len(cls.reps)} representatives")
@@ -182,11 +273,12 @@ def _class_anatomy(shape, window):
     return bad
 
 
-def _class_generators(shape, window):
+def _class_generators(shape, table, window):
     """Rotation enumeration matches the closure under the four raw moves."""
     bad = []
     for d in range(*window):
-        for cls in orbit.classes_at_degree(shape, d):
+        yield d
+        for cls in table.classes(d):
             closure = {cls.canonical}
             frontier = [cls.canonical]
             while frontier:
@@ -216,15 +308,17 @@ def _scan_targets(cls, root):
     }
 
 
-def _action_well_defined(shape, window):
+def _action_well_defined(shape, table, window):
     """Every admitting representative of a class sends a root to the same
     class, and that class is the root's entry in ``out_edges``; a root no
     representative admits has no entry."""
     bad = []
     roots = orbit.all_signed_roots(shape)
     for d in range(*window):
-        for cls in orbit.classes_at_degree(shape, d):
-            edges = orbit.out_edges(cls)
+        yield d
+        edges_of = table.edges(d)
+        for cls in table.classes(d):
+            edges = edges_of[cls]
             scan = {}
             for root in roots:
                 targets = _scan_targets(cls, root)
@@ -238,55 +332,70 @@ def _action_well_defined(shape, window):
     return bad
 
 
-def _plain_embedding(shape, window):
+def _plain_embedding(shape, table, window):
+    """A root that a diagram admits as a box move sends the class of
+    (diagram, 0) to the class of (moved diagram, 0).
+
+    The class of (diagram, 0) has degree |diagram|, and each class holds at
+    most one representative at k = 0, so degrees 0..mn of the table hold
+    one such class per diagram.  Violations are reported in the order of
+    ``rect.all_diagrams``, whatever the degree.
+    """
+    roots = orbit.all_signed_roots(shape)
+    found = {}  # diagram -> its violations
+    for d in range(shape.n * shape.m + 1):
+        yield d
+        for cls, edges in table.edges(d).items():
+            for parts, k in cls.reps:
+                if k:
+                    continue
+                found[parts] = here = []
+                for root in roots:
+                    if not reflect.admits(shape, parts, root):
+                        continue
+                    image = edges.get(root)
+                    plain = orbit.AnchoredPair(reflect.t_apply(shape, parts, root), 0)
+                    if image is None or plain not in image.reps:
+                        here.append(f"embedding not equivariant at {parts}, {rect.render_root(root)}")
     bad = []
     for parts in rect.all_diagrams(shape):
-        edges = orbit.out_edges(orbit.enumerate_class(shape, (parts, 0)))
-        for root in orbit.all_signed_roots(shape):
-            if not reflect.admits(shape, parts, root):
-                continue
-            image = edges.get(root)
-            plain = orbit.AnchoredPair(reflect.t_apply(shape, parts, root), 0)
-            if image is None or plain not in image.reps:
-                bad.append(f"embedding not equivariant at {parts}, {rect.render_root(root)}")
+        if parts not in found:
+            bad.append(f"no class of degree {sum(parts)} holds {parts} at k = 0")
+        bad.extend(found.get(parts, ()))
     return bad
 
 
-def _degree_counts(shape, window):
+def _degree_counts(shape, table, window):
     bad = []
     mn = shape.n * shape.m
     expect = orbit.classes_per_degree(shape)
     for d in range(*window):
-        now = orbit.classes_at_degree(shape, d)
+        yield d
+        now = table.classes(d)
         if len(now) != expect:
             bad.append(f"degree {d} has {len(now)} classes, expected {expect}")
         shifted = {
             orbit.enumerate_class(shape, (c.canonical.diagram, c.canonical.k + mn)).canonical
             for c in now
         }
-        later = {c.canonical for c in orbit.classes_at_degree(shape, d + mn)}
+        later = {c.canonical for c in table.classes(d + mn)}
         if shifted != later:
             bad.append(f"degree shift {d} -> {d + mn} is not a bijection")
     return bad
 
 
-def _degree_shift(shape, window):
+def _degree_shift(shape, table, window):
     """Raising every rotation number by one maps the classes of degree d onto
     those of degree d + 1, and ``act(c.shifted(1), r)`` equals
     ``act(c, rho(r)).shifted(1)``, undefined matching undefined, where rho
     rotates roots by ``solve_rotation(shape, 1)``.  Checked from every degree
-    d of the window to d + 1, reading each class's ``out_edges`` once."""
+    d of the window to d + 1, once the sweep reaches d + 1."""
     bad = []
     i1, j1 = rect.solve_rotation(shape, 1)
     roots = orbit.all_signed_roots(shape)
-
-    def acts(d):
-        return {cls: orbit.out_edges(cls) for cls in orbit.classes_at_degree(shape, d)}
-
-    lo, hi = window
-    before = acts(lo)
-    for d in range(lo, hi):
-        after = acts(d + 1)
+    for d in range(*window):
+        yield d + 1
+        before, after = table.edges(d), table.edges(d + 1)
         if {cls.shifted(1) for cls in before} != set(after):
             bad.append(f"degree {d} does not shift onto degree {d + 1}")
         for cls, edges in before.items():
@@ -297,14 +406,14 @@ def _degree_shift(shape, window):
                 image = edges.get(rect.rotate_root(shape, root, i1, j1))
                 if up.get(root) != (None if image is None else image.shifted(1)):
                     bad.append(f"{rect.render_root(root)} does not commute with the shift at {orbit.class_id(cls)}")
-        before = after
     return bad
 
 
-def _approx_parts(shape, window):
+def _approx_parts(shape, table, window):
     bad = []
     for d in range(*window):
-        for cls in orbit.classes_at_degree(shape, d):
+        yield d
+        for cls in table.classes(d):
             parts = orbit.approx_decompose(cls)
             if len(parts) != shape.m or any(not p for p in parts):
                 bad.append(f"{orbit.class_id(cls)} does not split into {shape.m} nonempty parts")
@@ -318,7 +427,7 @@ def _approx_parts(shape, window):
     return bad
 
 
-def _vss(shape, window):
+def _vss(shape, table, window):
     """Refinement classes anchored at multiples of m biject with the classes.
 
     For each degree of the window the row-move chains of the pairs whose
@@ -326,33 +435,40 @@ def _vss(shape, window):
     map must be well defined, injective and onto, and the action must agree
     on a chain and on its class, undefined matching undefined, for every
     signed root.  A chain is not in rotation order, so its side is the
-    representative scan; the class side is ``out_edges``.
+    representative scan; the class side is the table's ``out_edges`` of the
+    class of the chain's first pair.
     """
     bad = []
     roots = orbit.all_signed_roots(shape)
     for d in range(*window):
-        right = {c.canonical for c in orbit.classes_at_degree(shape, d)}
+        yield d
+        edges_of = table.edges(d)
+        right = {c.canonical for c in table.classes(d)}
         left = {}
         for parts in rect.all_diagrams(shape):
             k = d - sum(parts)
             if k % shape.m == 0:
                 rc = orbit.row_class(shape, orbit.AnchoredPair(parts, k))
                 left.setdefault(rc.canonical, rc)
-        images = {}
+        images, homes = {}, {}
         for key in sorted(left):
-            targets = {orbit.enumerate_class(shape, rep).canonical for rep in left[key].reps}
+            classes = [orbit.enumerate_class(shape, rep) for rep in left[key].reps]
+            targets = {c.canonical for c in classes}
             if len(targets) != 1:
                 bad.append(f"degree {d}: refinement class {key} maps to {len(targets)} classes")
             images[key] = min(targets)
+            homes[key] = classes[0]
         if len(set(images.values())) != len(images):
             bad.append(f"degree {d}: map is not injective")
         if set(images.values()) != right:
             bad.append(f"degree {d}: map is not onto the {len(right)} classes")
         for key in sorted(left):
-            rc = left[key]
-            edges = orbit.out_edges(orbit.enumerate_class(shape, rc.canonical))
+            edges = edges_of.get(homes[key])
+            if edges is None:
+                bad.append(f"degree {d}: refinement class {key} lies in no class of degree {d}")
+                continue
             for root in roots:
-                fine, coarse = _scan_targets(rc, root), edges.get(root)
+                fine, coarse = _scan_targets(left[key], root), edges.get(root)
                 if (not fine) != (coarse is None):
                     bad.append(f"degree {d}: definedness of {rect.render_root(root)} differs at {key}")
                 elif fine and fine != {coarse}:
@@ -360,11 +476,12 @@ def _vss(shape, window):
     return bad
 
 
-def _borel_invariants(shape, window):
+def _borel_invariants(shape, table, window):
     bad = []
     one = affine.dbar_root(shape)
     for d in range(*window):
-        for cls in orbit.classes_at_degree(shape, d):
+        yield d
+        for cls in table.classes(d):
             b = affine.borel_of_class(cls)
             if b.dk.node_sum() != one:
                 bad.append(f"node sum wrong for {orbit.class_id(cls)}")
@@ -382,13 +499,15 @@ def _borel_invariants(shape, window):
     return bad
 
 
-def _borel_bijection(shape, window):
+def _borel_bijection(shape, table, window):
     bad = []
-    seen = {}
+    seen = {}  # sorted nodes -> canonical pair, over the whole window
+    shared = {}  # one object per distinct node vector, which keeps ``seen`` small
     for d in range(*window):
-        for cls in orbit.classes_at_degree(shape, d):
+        yield d
+        for cls in table.classes(d):
             b = affine.borel_of_class(cls)
-            key = tuple(sorted(b.dk.nodes))
+            key = tuple(sorted(shared.setdefault(r, r) for r in b.dk.nodes))
             if key in seen and seen[key] != cls.canonical:
                 bad.append(f"{orbit.class_id(cls)} shares a diagram with {seen[key]}")
             seen[key] = cls.canonical
@@ -402,12 +521,13 @@ def _pair_id(pair):
     return f"{rect.render_diagram(pair.diagram)}@{pair.k}"
 
 
-def _borel_equivariance(shape, window):
+def _borel_equivariance(shape, table, window):
     """The closed-form pairing starts at the extension of the distinguished
     shuffle and agrees with every node move and odd reflection out of every
-    anchor in the window.  The class action and the Borel action, which reads
-    only the cyclic diagram, agree on every class and root of the window, so
-    with ``borel-bijection`` making the vertex map a bijection, this is the
+    anchor in the window.  The class action, read from the table's
+    ``out_edges``, and the Borel action, which reads only the cyclic
+    diagram, agree on every class and root of the window, so with
+    ``borel-bijection`` making the vertex map a bijection, this is the
     labelled Cayley-graph isomorphism on the window.  Each reflected diagram
     keeps its node sum and its zero Gram row sums.
 
@@ -428,16 +548,19 @@ def _borel_equivariance(shape, window):
             known[pair] = affine.borel_at(shape, pair)
         return known[pair]
 
+    roots = orbit.all_signed_roots(shape)
     for d in range(*window):
+        yield d
         borels.pop(d - 2, None)
-        for cls in orbit.classes_at_degree(shape, d):
+        edges_of = table.edges(d)
+        for cls in table.classes(d):
             for rep in cls.reps:
                 for nb in affine.transitions(borel(rep)):
                     if nb != borel(nb.pair()):
                         bad.append(f"a move or reflection from {_pair_id(rep)} disagrees at {_pair_id(nb.pair())}")
             dk = borel(cls.canonical).dk
-            edges = orbit.out_edges(cls)
-            for root in orbit.all_signed_roots(shape):
+            edges = edges_of[cls]
+            for root in roots:
                 image = edges.get(root)
                 try:
                     moved = affine.borel_act(dk, root)
@@ -526,20 +649,26 @@ def run_all(shape: rect.RectShape, lo: int | None = None, hi: int | None = None)
     window = (lo, hi)
     results = []
 
-    def run(name: str, fn: Callable) -> None:
-        try:
-            bad = fn(shape, window)
-        except Exception as exc:  # a crash is a failure, not an abort
-            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
+    def record(name: str, bad) -> None:
+        if isinstance(bad, Exception):
+            results.append(CheckResult(name, False, f"{type(bad).__name__}: {bad}"))
             return
         detail = "" if not bad else f"{len(bad)} violation(s); first: {bad[0]}"
         results.append(CheckResult(name, not bad, detail))
 
+    def run(name: str, fn: Callable) -> None:
+        try:
+            bad = fn(shape, window)
+        except Exception as exc:  # a crash is a failure, not an abort
+            bad = exc
+        record(name, bad)
+
     for name, fn in _GENERIC:
         run(name, fn)
     if classy:
-        for name, fn in _CLASS_LEVEL:
-            run(name, fn)
+        names, checks = zip(*_CLASS_LEVEL)
+        for name, bad in zip(names, _sweep(shape, window, checks)):
+            record(name, bad)
     else:
         run("shape-guard", _noncoprime_guard)
     return results

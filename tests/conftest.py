@@ -24,6 +24,7 @@ from oddbox.rect import (
     word_of_diagram,
 )
 from oddbox.reflect import NotEligible, t_apply
+from oddbox.verify import _sweep
 
 # every shape with m + n <= 9, and the coprime ones among them
 ALL_SHAPES = [
@@ -31,6 +32,15 @@ ALL_SHAPES = [
 ]
 COPRIME_SHAPES = [s for s in ALL_SHAPES if s.coprime]
 CLASS_SHAPES = [s for s in COPRIME_SHAPES if (s.n, s.m) != (1, 1)]
+
+
+def class_check(check, shape, window):
+    """The violations of one class-level check of ``oddbox.verify``, run alone
+    on its own table; an exception the check raised is raised again."""
+    (bad,) = _sweep(shape, window, [check])
+    if isinstance(bad, Exception):
+        raise bad
+    return bad
 
 
 def boxes(shape, parts):

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from conftest import class_check
 from oddbox import affine, orbit, rect, reflect, verify
 
 SIX_SHAPES = [rect.RectShape(*nm) for nm in [(1, 2), (2, 3), (3, 4), (2, 5), (3, 5), (4, 5)]]
@@ -37,7 +38,7 @@ def test_01_class_size_and_anatomy():
     bad = []
     started = time.perf_counter()
     for shape in SIX_SHAPES:
-        bad.extend(f"{shape}: {v}" for v in verify._class_anatomy(shape, (0, 2 * shape.n * shape.m)))
+        bad.extend(f"{shape}: {v}" for v in class_check(verify._class_anatomy, shape, (0, 2 * shape.n * shape.m)))
     elapsed = time.perf_counter() - started
     if elapsed >= 10.0:
         bad.append(f"sweep took {elapsed:.1f}s, budget 10s")
@@ -51,7 +52,7 @@ def test_02_counting_and_periodicity():
         shape = rect.RectShape(n, m)
         if orbit.classes_per_degree(shape) != count:
             bad.append(f"{shape}: formula gives {orbit.classes_per_degree(shape)}")
-        bad.extend(f"{shape}: {v}" for v in verify._degree_counts(shape, (0, 2 * n * m)))
+        bad.extend(f"{shape}: {v}" for v in class_check(verify._degree_counts, shape, (0, 2 * n * m)))
     report(2, bad)
 
 
@@ -141,15 +142,15 @@ def test_06_identity_suites():
 def test_07_action_well_defined():
     bad = []
     for shape in CLASS_9:
-        bad.extend(f"{shape}: {v}" for v in verify._action_well_defined(shape, (0, shape.n * shape.m)))
+        bad.extend(f"{shape}: {v}" for v in class_check(verify._action_well_defined, shape, (0, shape.n * shape.m)))
     report(7, bad, f"[{len(CLASS_9)} shapes]")
 
 
 def test_08_refinement_and_bijection():
     bad = []
     for shape, hi in ((S23, 6), (S34, 11)):
-        bad.extend(f"{shape}: {v}" for v in verify._approx_parts(shape, (0, shape.n * shape.m)))
-        bad.extend(f"{shape}: {v}" for v in verify._vss(shape, (0, hi + 1)))
+        bad.extend(f"{shape}: {v}" for v in class_check(verify._approx_parts, shape, (0, shape.n * shape.m)))
+        bad.extend(f"{shape}: {v}" for v in class_check(verify._vss, shape, (0, hi + 1)))
     report(8, bad)
 
 
@@ -158,7 +159,7 @@ def test_09_borel_pairing():
     for shape in (S23, S34):
         mn = shape.n * shape.m
         for check in (verify._borel_invariants, verify._borel_bijection, verify._borel_equivariance):
-            bad.extend(f"{shape}: {v}" for v in check(shape, (-mn, mn + 1)))
+            bad.extend(f"{shape}: {v}" for v in class_check(check, shape, (-mn, mn + 1)))
     report(9, bad)
 
 
@@ -189,7 +190,7 @@ def test_10_noncoprime_guard():
         lambda: orbit.enumerate_class(shape, ((0, 0), 0)),
         lambda: orbit.classes_at_degree(shape, 0),
         lambda: orbit.build_graph(shape, 0, 1),
-        lambda: verify._vss(shape, (0, 2)),
+        lambda: class_check(verify._vss, shape, (0, 2)),
         lambda: affine.borel_at(shape, ((0, 0), 0)),
     ):
         with pytest.raises(rect.NonCoprimeShape):

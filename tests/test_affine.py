@@ -2,6 +2,7 @@ import pytest
 
 from oddbox.affine import (
     BorelAtlas,
+    CyclicDK,
     DeletedNode,
     GlobalRoot,
     NotIsotropic,
@@ -65,6 +66,16 @@ def test_global_root_arithmetic_and_form():
     assert a.pair(a) == 0 and a.isotropic
     assert vec(S23, d1=1, d2=-1).pair(vec(S23, d1=1, d2=-1)) == -2
     assert dbar_root(S23).pair(a) == 0 and dbar_root(S23).isotropic
+
+
+def test_value_types_of_the_affinization():
+    with pytest.raises(ValueError, match="expected 5 nodes, got 4"):
+        CyclicDK(S23, (vec(S23, e1=1),) * 4)
+    a, b = vec(S23, e1=1, d2=-1), vec(S23, dbar=-1, e2=1)
+    with pytest.raises(AttributeError):
+        a.dbar = 1
+    assert sorted([a, b]) == sorted([a, b], key=lambda r: (r.eps, r.dels, r.dbar))
+    assert repr(a) == "GlobalRoot(eps=(1, 0), dels=(0, -1, 0), dbar=0)"
 
 
 def test_global_root_render():
@@ -295,6 +306,17 @@ def test_borel_act_equivariance_spot():
         borel_act(dk, undefined)
     with pytest.raises(ValueError, match="out of range"):
         borel_act(dk, OddRoot(1, 3, 1))
+
+
+@pytest.mark.parametrize("root", [OddRoot(1, 2, 4), OddRoot(-1, 3, 1)])
+def test_act_and_borel_act_refuse_a_root_outside_the_box(root):
+    cls = enumerate_class(S23, ((1, 0), 0))
+    messages = []
+    for call in (lambda: act(cls, root), lambda: borel_act(borel_of_class(cls).dk, root)):
+        with pytest.raises(ValueError, match="out of range for 2x3") as caught:
+            call()
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
 
 
 def test_atlas_distinct_diagrams_over_window():

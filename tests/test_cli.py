@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import oddbox
 from oddbox.cli import run
 
 
@@ -239,3 +244,15 @@ def test_out_to_missing_directory_is_a_usage_error(capsys, tmp_path):
         assert err.count("\n") == 1
         assert err.startswith("usage error:") and str(target) in err
         assert not target.exists()
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    """The value types are plain tuples, so no command pays for importing
+    ``dataclasses`` (and with it ``inspect``)."""
+    src = str(Path(oddbox.__file__).resolve().parents[1])
+    probe = "import oddbox.cli, sys; print('dataclasses' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout == "False\n"

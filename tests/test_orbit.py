@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CLASS_SHAPES, oracle_build_graph, oracle_enumerate_class, oracle_graph_json
+from conftest import CLASS_SHAPES, class_check, oracle_build_graph, oracle_enumerate_class, oracle_graph_json
 from oddbox import orbit, verify
 from oddbox.orbit import (
     AnchoredPair,
@@ -180,7 +180,7 @@ def test_act_undefined_raises():
 
 def test_act_restricts_to_plain_action_at_k_zero():
     for shape in (S23, RectShape(2, 5)):
-        assert verify._plain_embedding(shape, None) == []
+        assert class_check(verify._plain_embedding, shape, (0, 1)) == []
 
 
 def test_classes_at_degree_counts():
@@ -214,7 +214,7 @@ def test_row_class_chain_structure():
 
 def test_vss_check_noncoprime():
     with pytest.raises(NonCoprimeShape):
-        verify._vss(RectShape(2, 2), (0, 3))
+        class_check(verify._vss, RectShape(2, 2), (0, 3))
 
 
 def test_build_graph_hasse_degrees_and_edges():

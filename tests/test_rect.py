@@ -184,10 +184,24 @@ def test_solve_rotation_noncoprime():
 
 
 def test_shape_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="box needs positive dimensions, got 0x3"):
         RectShape(0, 3)
     assert RectShape(1, 1).coprime
     assert not RectShape(4, 6).coprime
+
+
+def test_value_types_validate_order_and_stay_frozen():
+    with pytest.raises(ValueError, match="root sign must be \\+1 or -1, got 0"):
+        OddRoot(0, 1, 1)
+    root = OddRoot(1, 2, 3)
+    for value, field in ((root, "i"), (S23, "n")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1)
+    assert repr(root) == "OddRoot(sign=1, i=2, j=3)"
+    assert repr(S23) == "RectShape(n=2, m=3)"
+    roots = [OddRoot(1, 2, 1), OddRoot(-1, 3, 3), OddRoot(1, 1, 2), OddRoot(-1, 1, 3)]
+    assert sorted(roots) == sorted(roots, key=lambda r: (r.sign, r.i, r.j))
+    assert sorted(roots)[0] == OddRoot(-1, 1, 3)
 
 
 def test_parse_render_diagram():

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import class_check
 from oddbox import affine, orbit, rect, reflect, verify
 from oddbox.rect import RectShape
 from oddbox.verify import run_all
@@ -123,7 +124,7 @@ def test_action_well_defined_catches_a_broken_out_edges(monkeypatch, fault):
     edge, a wrong image or an edge for a root no representative admits is
     reported."""
     monkeypatch.setattr(orbit, "out_edges", fault(orbit.out_edges))
-    bad = verify._action_well_defined(RectShape(2, 3), (0, 6))
+    bad = class_check(verify._action_well_defined, RectShape(2, 3), (0, 6))
     assert bad and all("out_edges and the scan differ" in v for v in bad)
 
 
@@ -178,8 +179,57 @@ FAULTS = {
 
 @pytest.mark.parametrize("name", FAULTS)
 def test_each_delegated_check_reports_a_broken_function(monkeypatch, name):
-    """Breaking one function a check reads makes it return violations, not crash."""
+    """Breaking one function a check reads makes it return violations, not
+    crash, and fails it in ``run_all``.  The class table is built inside the
+    call, after the patch, so it reads the broken function too."""
     module, attr, fault = FAULTS[name]
     monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
-    check = dict(verify._GENERIC + verify._CLASS_LEVEL)[name]
-    assert check(RectShape(2, 3), (0, 6))
+    shape, window = RectShape(2, 3), (0, 6)
+    if name in dict(verify._CLASS_LEVEL):
+        assert class_check(dict(verify._CLASS_LEVEL)[name], shape, window)
+    else:
+        assert dict(verify._GENERIC)[name](shape, window)
+    results = {r.name: r for r in run_all(shape, *window)}
+    assert not results[name].ok and "violation(s)" in results[name].detail
+
+
+def test_one_run_builds_each_degree_once(monkeypatch):
+    """One run on 3x4 enumerates each degree the checks read once, and reads
+    the out-edges of each class of those degrees once: the window 0..11, its
+    upper end 12 (degree-shift, plain-embedding), and d + 12 (degree-counts)."""
+    exact_classes, exact_edges = orbit.classes_at_degree, orbit.out_edges
+    degrees, acted = [], []
+
+    def classes(shape, d):
+        degrees.append(d)
+        return exact_classes(shape, d)
+
+    def edges(cls):
+        acted.append(cls)
+        return exact_edges(cls)
+
+    monkeypatch.setattr(orbit, "classes_at_degree", classes)
+    monkeypatch.setattr(orbit, "out_edges", edges)
+    shape = RectShape(3, 4)
+    assert all(r.ok for r in run_all(shape))
+    assert sorted(degrees) == list(range(24))
+    assert len(acted) == len(set(acted))
+    assert set(acted) == {c for d in range(13) for c in exact_classes(shape, d)}
+
+
+def test_the_table_holds_few_degrees_on_a_wide_window(monkeypatch):
+    """Memory stays flat in the width of the window: the table keeps the
+    out-edges of at most three degrees, and the classes of at most one
+    period ahead."""
+    held = []
+    exact = verify._ClassTable.keep
+
+    def keep(table, d):
+        exact(table, d)
+        held.append((len(table._edges), len(table._classes)))
+
+    monkeypatch.setattr(verify._ClassTable, "keep", keep)
+    shape = RectShape(2, 3)
+    assert all(r.ok for r in run_all(shape, -30, 40))
+    assert max(e for e, _ in held) <= 3
+    assert max(c for _, c in held) <= shape.n * shape.m + 3
