@@ -174,8 +174,6 @@ def cmd_class(args) -> int:
 
 def cmd_degree(args) -> int:
     shape = _shape(args)
-    orbit.require_class_shape(shape)
-    orbit._refuse_over_cap(shape, orbit.classes_per_degree(shape), f"classes in degree {args.d}")
     classes = orbit.classes_at_degree(shape, args.d)
     if args.format == "json":
         _write(args, chain(orbit.degree_json_chunks(shape, args.d, classes), ["\n"]))

@@ -232,16 +232,16 @@ def act(cls: OrbitClass, root: OddRoot) -> OrbitClass:
     check_root(cls.shape, root)
     image = out_edges(cls).get(root)
     if image is None:
-        raise UndefinedMorphism(
-            f"{render_root(root)} undefined on the class of "
-            f"{render_diagram(cls.canonical.diagram)}@{cls.canonical.k}"
-        )
+        raise UndefinedMorphism(f"{render_root(root)} undefined on the class of {pair_id(cls.canonical)}")
     return image
 
 
 def classes_at_degree(shape: RectShape, d: int) -> tuple[OrbitClass, ...]:
-    """All classes of degree d; always C(m+n, n)/(m+n) of them."""
+    """All classes of degree d; always C(m+n, n)/(m+n) of them.  A degree of
+    more than ``MAX_GRAPH_VERTICES`` classes raises ``GraphTooLarge`` before
+    any diagram is walked."""
     require_class_shape(shape)
+    _refuse_over_cap(shape, classes_per_degree(shape), f"classes in degree {d}")
     seen: dict[AnchoredPair, OrbitClass] = {}
     for parts in all_diagrams(shape):
         cls = enumerate_class(shape, AnchoredPair(parts, d - sum(parts)))
@@ -352,9 +352,14 @@ def graph_layers(graph: MorphismGraph) -> dict[int, tuple[OrbitClass, ...]]:
     return {d: tuple(group) for d, group in groupby(graph.vertices, key=lambda c: c.degree)}
 
 
+def pair_id(pair: AnchoredPair) -> str:
+    """The label ``diagram@k`` of a pair, e.g. "3,1@0"."""
+    return f"{render_diagram(pair.diagram)}@{pair.k}"
+
+
 def class_id(cls: OrbitClass) -> str:
     """Stable identifier built from the canonical representative, e.g. "3,1@0"."""
-    return f"{render_diagram(cls.canonical.diagram)}@{cls.canonical.k}"
+    return pair_id(cls.canonical)
 
 
 def class_json(cls: OrbitClass) -> dict:

@@ -11,13 +11,14 @@ table (``_ClassTable``) instead of enumerating and acting on each degree
 themselves: each degree's classes come from one ``orbit.classes_at_degree``
 call and each class's out-edges from one ``orbit.out_edges`` call, with
 each image resolved to the table's own class object where the table holds
-its degree.  The table is built inside each run, so a
-function patched before the run is what the table reads, and it drops the
-degrees that no check can still read, so memory stays flat in the width of
-the window.  The checks keep their own references: the representative scan
-of ``action-well-defined`` and ``refinement-bijection`` still calls
-``orbit.admitting_reps`` and ``orbit.rotated_root_at``, and
-``borel-equivariance`` its own ``affine.transitions`` sweep.
+its degree.  The checks read only the window, its upper end and, for
+``degree-counts``, the classes mn degrees up.  The table is built inside
+each run, so a function patched before the run is what the table reads,
+and it drops the degrees no check can still read.  The checks keep their
+own references: the representative scan of ``action-well-defined`` and
+``refinement-bijection`` still calls ``orbit.admitting_reps`` and
+``orbit.rotated_root_at``, and ``borel-equivariance`` its own
+``affine.transitions`` sweep.
 """
 
 from typing import Callable, NamedTuple
@@ -185,14 +186,14 @@ class _ClassTable:
     ``orbit.out_edges`` on each class of degree d, each once while degree d
     is held.  An image equal to a held class one degree below or above is
     replaced by that class object, so images share the table's classes
-    instead of copying them.  ``steps`` are the degrees the sweep stops at;
-    ``keep(d)`` drops every degree below d - 1 and every degree that is not a
-    step, so memory stays flat in the width of the window.
+    instead of copying them.  ``hi`` is the highest degree the sweep stops
+    at; ``keep(d)`` drops every degree below d - 1 or above ``hi``, so
+    memory stays flat in the width of the window.
     """
 
-    def __init__(self, shape: rect.RectShape, steps):
+    def __init__(self, shape: rect.RectShape, hi: int):
         self.shape = shape
-        self.steps = frozenset(steps)
+        self.hi = hi
         self._classes: dict[int, tuple[orbit.OrbitClass, ...]] = {}
         self._edges: dict[int, dict[orbit.OrbitClass, dict]] = {}
 
@@ -204,7 +205,7 @@ class _ClassTable:
     def edges(self, d: int) -> dict[orbit.OrbitClass, dict]:
         """``{cls: orbit.out_edges(cls)}`` for the classes of degree d."""
         if d not in self._edges:
-            if d + 1 in self.steps:
+            if d < self.hi:
                 self.classes(d + 1)  # so that the images one degree up are shared
             held = {c: c for e in (d - 1, d + 1) for c in self._classes.get(e, ())}
             self._edges[d] = {
@@ -214,7 +215,7 @@ class _ClassTable:
         return self._edges[d]
 
     def keep(self, d: int) -> None:
-        for e in [e for e in self._classes if e < d - 1 or e not in self.steps]:
+        for e in [e for e in self._classes if e < d - 1 or e > self.hi]:
             del self._classes[e]
             self._edges.pop(e, None)
 
@@ -225,12 +226,11 @@ def _sweep(shape: rect.RectShape, window: tuple[int, int], checks) -> list:
     A check is a generator that yields a degree before it reads that degree
     from the table, and returns its violations.  The sweep resumes the
     checks waiting for the lowest degree, after dropping the degrees that no
-    check can still read.  The steps are the window, its upper end, which
-    ``degree-shift`` reaches, and the degrees 0..mn of ``plain-embedding``.
-    Returns, check by check, its violations or the exception it raised.
+    check can still read.  The sweep stops at the degrees of the window and
+    at its upper end, which ``degree-shift`` reaches.  Returns, check by
+    check, its violations or the exception it raised.
     """
-    lo, hi = window
-    table = _ClassTable(shape, {*range(lo, hi + 1), *range(shape.n * shape.m + 1)})
+    table = _ClassTable(shape, window[1])
     results = [None] * len(checks)
     waiting = {}  # degree -> the (index, generator) of each check waiting for it
 
@@ -333,35 +333,36 @@ def _action_well_defined(shape, table, window):
 
 
 def _plain_embedding(shape, table, window):
-    """A root that a diagram admits as a box move sends the class of
-    (diagram, 0) to the class of (moved diagram, 0).
+    """At each degree d of the window, the representatives (p, k) with mn
+    dividing k hold each diagram p with |p| = d mod mn once, and a root that
+    p admits as a box move sends the class of (p, k) to that of (moved p, k).
 
-    The class of (diagram, 0) has degree |diagram|, and each class holds at
-    most one representative at k = 0, so degrees 0..mn of the table hold
-    one such class per diagram.  Violations are reported in the order of
-    ``rect.all_diagrams``, whatever the degree.
+    ``solve_rotation`` of a multiple of mn is (0, 0), so no root is rotated
+    there: at k = 0 this is the plain embedding p -> (p, 0), elsewhere the
+    embedding and the period shift that ``degree-counts`` and
+    ``degree-shift`` check.  Any mn consecutive degrees cover each diagram.
     """
+    mn = shape.n * shape.m
     roots = orbit.all_signed_roots(shape)
-    found = {}  # diagram -> its violations
-    for d in range(shape.n * shape.m + 1):
+    bad = []
+    for d in range(*window):
         yield d
+        held = {}  # diagram -> how many representatives hold it
         for cls, edges in table.edges(d).items():
-            for parts, k in cls.reps:
-                if k:
+            for rep in cls.reps:
+                if rep.k % mn:
                     continue
-                found[parts] = here = []
+                held[rep.diagram] = held.get(rep.diagram, 0) + 1
                 for root in roots:
-                    if not reflect.admits(shape, parts, root):
+                    if not reflect.admits(shape, rep.diagram, root):
                         continue
                     image = edges.get(root)
-                    plain = orbit.AnchoredPair(reflect.t_apply(shape, parts, root), 0)
+                    plain = orbit.AnchoredPair(reflect.t_apply(shape, rep.diagram, root), rep.k)
                     if image is None or plain not in image.reps:
-                        here.append(f"embedding not equivariant at {parts}, {rect.render_root(root)}")
-    bad = []
-    for parts in rect.all_diagrams(shape):
-        if parts not in found:
-            bad.append(f"no class of degree {sum(parts)} holds {parts} at k = 0")
-        bad.extend(found.get(parts, ()))
+                        bad.append(f"embedding not equivariant at {orbit.pair_id(rep)}, {rect.render_root(root)}")
+        for parts in rect.all_diagrams(shape):
+            if (sum(parts) - d) % mn == 0 and held.get(parts) != 1:
+                bad.append(f"degree {d} holds {parts} {held.get(parts, 0)} times at k divisible by {mn}")
     return bad
 
 
@@ -517,10 +518,6 @@ def _borel_bijection(shape, table, window):
     return bad
 
 
-def _pair_id(pair):
-    return f"{rect.render_diagram(pair.diagram)}@{pair.k}"
-
-
 def _borel_equivariance(shape, table, window):
     """The closed-form pairing starts at the extension of the distinguished
     shuffle and agrees with every node move and odd reflection out of every
@@ -557,7 +554,8 @@ def _borel_equivariance(shape, table, window):
             for rep in cls.reps:
                 for nb in affine.transitions(borel(rep)):
                     if nb != borel(nb.pair()):
-                        bad.append(f"a move or reflection from {_pair_id(rep)} disagrees at {_pair_id(nb.pair())}")
+                        at = orbit.pair_id(nb.pair())
+                        bad.append(f"a move or reflection from {orbit.pair_id(rep)} disagrees at {at}")
             dk = borel(cls.canonical).dk
             edges = edges_of[cls]
             for root in roots:

@@ -1,4 +1,5 @@
 import json
+import time
 from math import comb
 
 import pytest
@@ -180,7 +181,7 @@ def test_act_undefined_raises():
 
 def test_act_restricts_to_plain_action_at_k_zero():
     for shape in (S23, RectShape(2, 5)):
-        assert class_check(verify._plain_embedding, shape, (0, 1)) == []
+        assert class_check(verify._plain_embedding, shape, (0, shape.n * shape.m)) == []
 
 
 def test_classes_at_degree_counts():
@@ -356,6 +357,13 @@ def test_build_graph_refuses_windows_over_the_vertex_cap(monkeypatch):
     assert len(build_graph(S23, 0, 4).vertices) == 10
     with pytest.raises(GraphTooLarge, match="12 classes"):
         build_graph(S23, 0, 5)
+
+
+def test_classes_at_degree_refuses_a_degree_over_the_cap_promptly():
+    start = time.perf_counter()
+    with pytest.raises(GraphTooLarge, match="classes in degree 0"):
+        classes_at_degree(RectShape(13, 17), 0)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_shifted_class_is_the_class_of_the_shifted_pair():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import class_check
 from oddbox import affine, orbit, rect, reflect, verify
@@ -193,10 +194,9 @@ def test_each_delegated_check_reports_a_broken_function(monkeypatch, name):
     assert not results[name].ok and "violation(s)" in results[name].detail
 
 
-def test_one_run_builds_each_degree_once(monkeypatch):
-    """One run on 3x4 enumerates each degree the checks read once, and reads
-    the out-edges of each class of those degrees once: the window 0..11, its
-    upper end 12 (degree-shift, plain-embedding), and d + 12 (degree-counts)."""
+def _record_table_reads(monkeypatch):
+    """Patch ``orbit`` to log the degree of every ``classes_at_degree`` call
+    and the class of every ``out_edges`` call into the two returned lists."""
     exact_classes, exact_edges = orbit.classes_at_degree, orbit.out_edges
     degrees, acted = [], []
 
@@ -210,11 +210,49 @@ def test_one_run_builds_each_degree_once(monkeypatch):
 
     monkeypatch.setattr(orbit, "classes_at_degree", classes)
     monkeypatch.setattr(orbit, "out_edges", edges)
+    return degrees, acted
+
+
+def test_one_run_builds_each_degree_once(monkeypatch):
+    """One run on 3x4 enumerates each degree the checks read once, and reads
+    the out-edges of each class of those degrees once: the window 0..11, its
+    upper end 12 (degree-shift), and d + 12 (degree-counts)."""
+    exact_classes = orbit.classes_at_degree
+    degrees, acted = _record_table_reads(monkeypatch)
     shape = RectShape(3, 4)
     assert all(r.ok for r in run_all(shape))
     assert sorted(degrees) == list(range(24))
     assert len(acted) == len(set(acted))
     assert set(acted) == {c for d in range(13) for c in exact_classes(shape, d)}
+
+
+def test_a_window_reads_only_its_own_degrees(monkeypatch):
+    """A one-degree window away from 0..mn reads that degree, its upper end
+    (degree-shift) and d + mn (degree-counts), each once, and acts only on
+    the classes of the window and its upper end."""
+    exact_classes = orbit.classes_at_degree
+    degrees, acted = _record_table_reads(monkeypatch)
+    shape = RectShape(3, 4)
+    assert all(r.ok for r in run_all(shape, 40, 41))
+    assert sorted(degrees) == [40, 41, 52]
+    assert len(acted) == len(set(acted))
+    assert set(acted) == {c for d in (40, 41) for c in exact_classes(shape, d)}
+
+
+def test_plain_embedding_reports_a_diagram_no_class_holds(monkeypatch):
+    """Coverage: with the last class of each degree dropped, the diagrams
+    that class held at a multiple of mn are reported missing."""
+    exact = orbit.classes_at_degree
+    monkeypatch.setattr(orbit, "classes_at_degree", lambda shape, d: exact(shape, d)[:-1])
+    bad = class_check(verify._plain_embedding, RectShape(2, 3), (0, 6))
+    assert "degree 0 holds (0, 0) 0 times at k divisible by 6" in bad
+    assert all(" 0 times at k divisible by 6" in v for v in bad)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from([RectShape(3, 5), RectShape(4, 5)]), st.integers(-10**6, 10**6))
+def test_plain_embedding_holds_on_one_degree_far_from_zero(shape, d):
+    assert class_check(verify._plain_embedding, shape, (d, d + 1)) == []
 
 
 def test_the_table_holds_few_degrees_on_a_wide_window(monkeypatch):
