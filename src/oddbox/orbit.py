@@ -20,17 +20,18 @@ is one at the next representative, whose word is rotated by one letter.
 Split k = i*n + j*m: the box move adding row a, column b (the pair ``d``
 then ``r``, the shuffle entries a and b') is named by the global root
 +(e_{a-j} - d_{b+i}), indices mod n and m, and the reverse pair by the
-negative root.  ``out_edges`` lists these roots with the classes they
-reach, and ``act`` looks a root up there.  The verification suite compares them with an
+negative root.  A class is named by its canonical pair, the member of
+least rotation number: ``out_edges`` lists the roots with the canonical
+pair of the class each one reaches, and ``act`` looks a root up there and
+enumerates that class.  The verification suite compares them with an
 independent scan (``admitting_reps``) that rotates the root to every
 representative and applies it wherever it is a box move: all admitting
 representatives land in the same class, which is what makes the action
 well defined.
 
-Row moves alone refine each class into m chains (``row_class``).  A chain
-is an ``OrbitClass`` too, but its members are not in rotation order, so
-``out_edges`` and ``act`` take classes only; the ``refinement-bijection``
-check of the verification suite acts on a chain through the scan.
+Row moves alone refine each class into m chains (``row_class``), each a
+tuple of pairs; the ``refinement-bijection`` check of the verification
+suite acts on a chain through the scan.
 
 Shifting every rotation number by one, ``(diagram, k) -> (diagram, k + 1)``,
 maps the classes of degree d onto those of degree d + 1 and commutes with the
@@ -116,16 +117,13 @@ class AnchoredPair(NamedTuple):
 
 
 class OrbitClass(NamedTuple):
-    """The representatives of one class, canonical first.
+    """The m + n representatives of one class in rotation order, from
+    ``enumerate_class``.
 
-    ``enumerate_class`` lists all m + n members of a class in rotation
-    order, ``row_class`` the chain of a refinement class with k ascending.
     ``reps[0]`` is the member of minimal rotation number, unique because
-    the rotation numbers of a class are pairwise distinct.  Equality and
-    hashing compare ``reps``, so they agree with class equality for two
-    values from the same constructor.  ``out_edges`` and ``act`` read the
-    rotation order, so they take classes from ``enumerate_class``, not
-    chains.
+    the rotation numbers of a class are pairwise distinct; it names the
+    class.  Equality and hashing compare ``reps``, so they are class
+    equality.
     """
 
     shape: RectShape
@@ -186,31 +184,35 @@ def all_signed_roots(shape: RectShape, signs=(1, -1)) -> tuple[OddRoot, ...]:
     )
 
 
-def admitting_reps(cls: OrbitClass, root: OddRoot) -> list[tuple[AnchoredPair, OddRoot]]:
-    """Representatives at which the rotated root is an actual box move.
+def admitting_reps(shape: RectShape, reps, root: OddRoot) -> list[tuple[AnchoredPair, OddRoot]]:
+    """The pairs of ``reps`` at which the rotated root is an actual box move.
 
-    This scan tries the root at every representative.  It is the reference
-    that ``out_edges`` is checked against, and it also acts on row-move
-    chains, whose members are not in rotation order.
+    This scan tries the root at every pair, in any order: the members of a
+    class or a row-move chain.  It is the reference that ``out_edges`` is
+    checked against.
     """
     out = []
-    for rep in cls.reps:
-        rot = rotated_root_at(cls.shape, root, rep.k)
-        if admits(cls.shape, rep.diagram, rot):
+    for rep in reps:
+        rot = rotated_root_at(shape, root, rep.k)
+        if admits(shape, rep.diagram, rot):
             out.append((rep, rot))
     return out
 
 
-def out_edges(cls: OrbitClass) -> dict[OddRoot, OrbitClass]:
-    """Every signed root defined on a class, with the class it moves to.
+def out_edges(cls: OrbitClass) -> dict[OddRoot, AnchoredPair]:
+    """Every signed root defined on a class, with the canonical pair of the
+    class it moves to.
 
     Each mixed adjacent pair of the cyclic shuffle is one root: the pairs
     inside the shuffle of ``reps[0]``, and the wrap pair, which is the last
     pair of ``reps[1]``, the next rotation.  A box move at a representative
     (diagram, k) is named globally by rotating it back by
     ``solve_rotation(k)``, and its image is the class of the moved diagram at
-    the same k.  ``cls`` must list its members in rotation order, as
-    ``enumerate_class`` does.
+    the same k.
+
+    >>> cls = enumerate_class(RectShape(2, 3), ((3, 1), 0))
+    >>> out_edges(cls)[OddRoot(1, 2, 1)]
+    AnchoredPair(diagram=(3, 3), k=-1)
     """
     shape, size = cls.shape, cls.shape.size
     edges = {}
@@ -221,19 +223,19 @@ def out_edges(cls: OrbitClass) -> dict[OddRoot, OrbitClass]:
             box = pair_root(shape, (shuf[t], shuf[t + 1]))
             if box is not None:
                 moved = AnchoredPair(t_apply(shape, rep.diagram, box), rep.k)
-                edges[rotate_root(shape, box, -i, -j)] = enumerate_class(shape, moved)
+                edges[rotate_root(shape, box, -i, -j)] = enumerate_class(shape, moved).canonical
     return edges
 
 
 def act(cls: OrbitClass, root: OddRoot) -> OrbitClass:
-    """Apply a signed root to a class: its entry in ``out_edges``, or
-    ``UndefinedMorphism`` when the root has none.  A root outside the box
-    raises ``ValueError``, as in ``affine.borel_act``."""
+    """Apply a signed root to a class: the class of its entry in
+    ``out_edges``, or ``UndefinedMorphism`` when the root has none.  A root
+    outside the box raises ``ValueError``, as in ``affine.borel_act``."""
     check_root(cls.shape, root)
     image = out_edges(cls).get(root)
     if image is None:
         raise UndefinedMorphism(f"{render_root(root)} undefined on the class of {pair_id(cls.canonical)}")
-    return image
+    return enumerate_class(cls.shape, image)
 
 
 def classes_at_degree(shape: RectShape, d: int) -> tuple[OrbitClass, ...]:
@@ -253,8 +255,9 @@ def classes_per_degree(shape: RectShape) -> int:
     return comb(shape.size, shape.n) // shape.size
 
 
-def row_class(shape: RectShape, pair) -> OrbitClass:
-    """The chain of a pair under "delete/restore a full bottom row"."""
+def row_class(shape: RectShape, pair) -> tuple[AnchoredPair, ...]:
+    """The chain of a pair under "delete/restore a full bottom row", k
+    ascending."""
     require_class_shape(shape)
     parts, k = tuple(pair[0]), pair[1]
     check_diagram(shape, parts)
@@ -267,7 +270,7 @@ def row_class(shape: RectShape, pair) -> OrbitClass:
     while p[-1] == 0:
         p, kk = (shape.m,) + p[:-1], kk - shape.m
         chain.insert(0, AnchoredPair(p, kk))
-    return OrbitClass(shape, tuple(chain))
+    return tuple(chain)
 
 
 def approx_decompose(cls: OrbitClass) -> tuple[tuple[AnchoredPair, ...], ...]:
@@ -331,7 +334,7 @@ def build_graph(shape: RectShape, lo: int, hi: int, mode: str = "hasse") -> Morp
     for t, cls in enumerate(base):
         for root, image in out_edges(cls).items():
             if root.sign in signs:
-                targets[t, root] = rank[image.canonical.diagram]
+                targets[t, root] = rank[image.diagram]
     i1, j1 = solve_rotation(shape, 1)
     edges = []
     for s in range(span):

@@ -7,18 +7,18 @@ the 1x1 box are skipped with a note on other shapes, except for the guard
 checks, which assert that those shapes are refused.
 
 The class-level checks run in step, degree by degree, and read one shared
-table (``_ClassTable``) instead of enumerating and acting on each degree
-themselves: each degree's classes come from one ``orbit.classes_at_degree``
-call and each class's out-edges from one ``orbit.out_edges`` call, with
-each image resolved to the table's own class object where the table holds
-its degree.  The checks read only the window, its upper end and, for
-``degree-counts``, the classes mn degrees up.  The table is built inside
-each run, so a function patched before the run is what the table reads,
-and it drops the degrees no check can still read.  The checks keep their
-own references: the representative scan of ``action-well-defined`` and
-``refinement-bijection`` still calls ``orbit.admitting_reps`` and
-``orbit.rotated_root_at``, and ``borel-equivariance`` its own
-``affine.transitions`` sweep.
+table (``_ClassTable``) instead of enumerating, acting on and pairing each
+degree themselves: each degree's classes come from one
+``orbit.classes_at_degree`` call, each class's out-edges (canonical pairs)
+from one ``orbit.out_edges`` call and each pair's Borel from one
+``affine.borel_at`` call.  The checks read only the window, its upper end,
+the Borels of the degree below it and, for ``degree-counts``, the classes
+mn degrees up.  The table is built inside each run, so a function
+patched before the run is what the table reads, and it drops the degrees
+no check can still read.  The checks keep their own references: the
+representative scan of ``action-well-defined`` and ``refinement-bijection``
+still calls ``orbit.admitting_reps`` and ``orbit.rotated_root_at``, and
+``borel-equivariance`` its own ``affine.transitions`` sweep.
 """
 
 from typing import Callable, NamedTuple
@@ -179,16 +179,14 @@ def _row_col_compat(shape, window):
 
 
 class _ClassTable:
-    """The classes of each degree and their out-edges, shared by the class
-    checks of one sweep.
+    """The classes of each degree, their out-edges and the Borels of their
+    pairs, shared by the class checks of one sweep.
 
-    ``classes(d)`` calls ``orbit.classes_at_degree`` and ``edges(d)`` calls
-    ``orbit.out_edges`` on each class of degree d, each once while degree d
-    is held.  An image equal to a held class one degree below or above is
-    replaced by that class object, so images share the table's classes
-    instead of copying them.  ``hi`` is the highest degree the sweep stops
-    at; ``keep(d)`` drops every degree below d - 1 or above ``hi``, so
-    memory stays flat in the width of the window.
+    ``classes(d)`` calls ``orbit.classes_at_degree``, ``edges(d)`` calls
+    ``orbit.out_edges`` on each class of degree d and ``borel(pair)`` calls
+    ``affine.borel_at``, each once while the degree is held.  ``hi`` is the
+    highest degree the sweep stops at; ``keep(d)`` drops every degree below
+    d - 1 or above ``hi``, so memory stays flat in the width of the window.
     """
 
     def __init__(self, shape: rect.RectShape, hi: int):
@@ -196,6 +194,7 @@ class _ClassTable:
         self.hi = hi
         self._classes: dict[int, tuple[orbit.OrbitClass, ...]] = {}
         self._edges: dict[int, dict[orbit.OrbitClass, dict]] = {}
+        self._borels: dict[int, dict[orbit.AnchoredPair, affine.FiniteBorel]] = {}
 
     def classes(self, d: int) -> tuple[orbit.OrbitClass, ...]:
         if d not in self._classes:
@@ -205,19 +204,19 @@ class _ClassTable:
     def edges(self, d: int) -> dict[orbit.OrbitClass, dict]:
         """``{cls: orbit.out_edges(cls)}`` for the classes of degree d."""
         if d not in self._edges:
-            if d < self.hi:
-                self.classes(d + 1)  # so that the images one degree up are shared
-            held = {c: c for e in (d - 1, d + 1) for c in self._classes.get(e, ())}
-            self._edges[d] = {
-                cls: {root: held.get(image, image) for root, image in orbit.out_edges(cls).items()}
-                for cls in self.classes(d)
-            }
+            self._edges[d] = {cls: orbit.out_edges(cls) for cls in self.classes(d)}
         return self._edges[d]
 
+    def borel(self, pair: orbit.AnchoredPair) -> affine.FiniteBorel:
+        known = self._borels.setdefault(pair.degree(), {})
+        if pair not in known:
+            known[pair] = affine.borel_at(self.shape, pair)
+        return known[pair]
+
     def keep(self, d: int) -> None:
-        for e in [e for e in self._classes if e < d - 1 or e > self.hi]:
-            del self._classes[e]
-            self._edges.pop(e, None)
+        for held in (self._classes, self._edges, self._borels):
+            for e in [e for e in held if e < d - 1 or e > self.hi]:
+                del held[e]
 
 
 def _sweep(shape: rect.RectShape, window: tuple[int, int], checks) -> list:
@@ -255,6 +254,9 @@ def _sweep(shape: rect.RectShape, window: tuple[int, int], checks) -> list:
 
 
 def _class_anatomy(shape, table, window):
+    """Each class has m + n representatives of its degree, no two alike in
+    k or mod mn, and ``reps[0]`` has the least k: out-edges, table keys and
+    class ids all name a class by it."""
     bad = []
     mn = shape.n * shape.m
     for d in range(*window):
@@ -265,6 +267,8 @@ def _class_anatomy(shape, table, window):
                 bad.append(f"class {orbit.class_id(cls)} has {len(cls.reps)} representatives")
             if len(set(ks)) != len(ks):
                 bad.append(f"class {orbit.class_id(cls)} repeats a rotation number")
+            if min(ks) != cls.canonical.k:
+                bad.append(f"class {orbit.class_id(cls)} is not named by its least rotation number")
             reduced = {(rep.diagram, rep.k % mn) for rep in cls.reps}
             if len(reduced) != len(cls.reps):
                 bad.append(f"class {orbit.class_id(cls)} repeats a representative mod {mn}")
@@ -299,12 +303,13 @@ def _class_generators(shape, table, window):
     return bad
 
 
-def _scan_targets(cls, root):
-    """The classes that ``root`` reaches from the admitting representatives
-    of ``cls``, found by the representative scan, not by ``out_edges``."""
+def _scan_targets(shape, reps, root):
+    """The canonical pairs of the classes that ``root`` reaches from the
+    admitting pairs of ``reps``, found by the representative scan, not by
+    ``out_edges``."""
     return {
-        orbit.enumerate_class(cls.shape, orbit.AnchoredPair(reflect.t_apply(cls.shape, rep.diagram, rot), rep.k))
-        for rep, rot in orbit.admitting_reps(cls, root)
+        orbit.enumerate_class(shape, orbit.AnchoredPair(reflect.t_apply(shape, rep.diagram, rot), rep.k)).canonical
+        for rep, rot in orbit.admitting_reps(shape, reps, root)
     }
 
 
@@ -321,7 +326,7 @@ def _action_well_defined(shape, table, window):
             edges = edges_of[cls]
             scan = {}
             for root in roots:
-                targets = _scan_targets(cls, root)
+                targets = _scan_targets(shape, cls.reps, root)
                 if len(targets) > 1:
                     bad.append(f"{rect.render_root(root)} at {orbit.class_id(cls)} hits {len(targets)} classes")
                 elif targets:
@@ -358,7 +363,7 @@ def _plain_embedding(shape, table, window):
                         continue
                     image = edges.get(root)
                     plain = orbit.AnchoredPair(reflect.t_apply(shape, rep.diagram, root), rep.k)
-                    if image is None or plain not in image.reps:
+                    if image is None or orbit.enumerate_class(shape, plain).canonical != image:
                         bad.append(f"embedding not equivariant at {orbit.pair_id(rep)}, {rect.render_root(root)}")
         for parts in rect.all_diagrams(shape):
             if (sum(parts) - d) % mn == 0 and held.get(parts) != 1:
@@ -405,7 +410,7 @@ def _degree_shift(shape, table, window):
                 continue
             for root in roots:
                 image = edges.get(rect.rotate_root(shape, root, i1, j1))
-                if up.get(root) != (None if image is None else image.shifted(1)):
+                if up.get(root) != (None if image is None else orbit.AnchoredPair(image.diagram, image.k + 1)):
                     bad.append(f"{rect.render_root(root)} does not commute with the shift at {orbit.class_id(cls)}")
     return bad
 
@@ -422,7 +427,7 @@ def _approx_parts(shape, table, window):
             if sorted(rep for p in parts for rep in p) != sorted(cls.reps):
                 bad.append(f"{orbit.class_id(cls)} parts do not hold each representative exactly once")
             got = {frozenset(p) for p in parts}
-            expect = {frozenset(orbit.row_class(shape, rep).reps) for rep in cls.reps}
+            expect = {frozenset(orbit.row_class(shape, rep)) for rep in cls.reps}
             if got != expect:
                 bad.append(f"{orbit.class_id(cls)} split disagrees with row-move closures")
     return bad
@@ -435,9 +440,9 @@ def _vss(shape, table, window):
     rotation number is divisible by m are matched against the classes: the
     map must be well defined, injective and onto, and the action must agree
     on a chain and on its class, undefined matching undefined, for every
-    signed root.  A chain is not in rotation order, so its side is the
-    representative scan; the class side is the table's ``out_edges`` of the
-    class of the chain's first pair.
+    signed root.  The chain's side is the representative scan over its
+    pairs; the class side is the table's ``out_edges`` of the class of the
+    chain's first pair.
     """
     bad = []
     roots = orbit.all_signed_roots(shape)
@@ -450,10 +455,10 @@ def _vss(shape, table, window):
             k = d - sum(parts)
             if k % shape.m == 0:
                 rc = orbit.row_class(shape, orbit.AnchoredPair(parts, k))
-                left.setdefault(rc.canonical, rc)
+                left.setdefault(rc[0], rc)
         images, homes = {}, {}
         for key in sorted(left):
-            classes = [orbit.enumerate_class(shape, rep) for rep in left[key].reps]
+            classes = [orbit.enumerate_class(shape, rep) for rep in left[key]]
             targets = {c.canonical for c in classes}
             if len(targets) != 1:
                 bad.append(f"degree {d}: refinement class {key} maps to {len(targets)} classes")
@@ -469,7 +474,7 @@ def _vss(shape, table, window):
                 bad.append(f"degree {d}: refinement class {key} lies in no class of degree {d}")
                 continue
             for root in roots:
-                fine, coarse = _scan_targets(left[key], root), edges.get(root)
+                fine, coarse = _scan_targets(shape, left[key], root), edges.get(root)
                 if (not fine) != (coarse is None):
                     bad.append(f"degree {d}: definedness of {rect.render_root(root)} differs at {key}")
                 elif fine and fine != {coarse}:
@@ -483,7 +488,7 @@ def _borel_invariants(shape, table, window):
     for d in range(*window):
         yield d
         for cls in table.classes(d):
-            b = affine.borel_of_class(cls)
+            b = table.borel(cls.canonical)
             if b.dk.node_sum() != one:
                 bad.append(f"node sum wrong for {orbit.class_id(cls)}")
             matrix = b.dk.gram()
@@ -507,7 +512,7 @@ def _borel_bijection(shape, table, window):
     for d in range(*window):
         yield d
         for cls in table.classes(d):
-            b = affine.borel_of_class(cls)
+            b = table.borel(cls.canonical)
             key = tuple(sorted(shared.setdefault(r, r) for r in b.dk.nodes))
             if key in seen and seen[key] != cls.canonical:
                 bad.append(f"{orbit.class_id(cls)} shares a diagram with {seen[key]}")
@@ -528,27 +533,17 @@ def _borel_equivariance(shape, table, window):
     labelled Cayley-graph isomorphism on the window.  Each reflected diagram
     keeps its node sum and its zero Gram row sums.
 
-    ``borel_at`` is pure, so each anchor's Borel is computed once.  Degree d
-    reaches only anchors of degrees d - 1..d + 1, so the Borels of lower
-    degrees are dropped as the sweep moves up, which keeps memory flat in
-    the width of the window."""
+    Every Borel comes from the table, so degree d reads the anchors of
+    degrees d - 1..d + 1 while the table holds them."""
     bad = []
     one = affine.dbar_root(shape)
+    borel = table.borel
     zero = orbit.AnchoredPair((0,) * shape.n, 0)
-    if affine.borel_at(shape, zero) != affine.extend(shape, rect.identity_shuffle(shape)):
+    if borel(zero) != affine.extend(shape, rect.identity_shuffle(shape)):
         bad.append("the empty diagram at k = 0 is not the extension of the distinguished shuffle")
-    borels = {}  # degree -> anchor -> Borel
-
-    def borel(pair):
-        known = borels.setdefault(pair.degree(), {})
-        if pair not in known:
-            known[pair] = affine.borel_at(shape, pair)
-        return known[pair]
-
     roots = orbit.all_signed_roots(shape)
     for d in range(*window):
         yield d
-        borels.pop(d - 2, None)
         edges_of = table.edges(d)
         for cls in table.classes(d):
             for rep in cls.reps:
@@ -571,7 +566,7 @@ def _borel_equivariance(shape, table, window):
                     continue
                 if moved.node_sum() != one or any(sum(row) != 0 for row in moved.gram()):
                     bad.append(f"invariants fail after reflection at {orbit.class_id(cls)}, {rect.render_root(root)}")
-                if borel(image.canonical).dk != moved:
+                if borel(image).dk != moved:
                     bad.append(f"equivariance fails at {orbit.class_id(cls)}, {rect.render_root(root)}")
     return bad
 

@@ -12,6 +12,7 @@ from oddbox.orbit import (
     class_id,
     class_json,
     classes_at_degree,
+    edge_shift,
     enumerate_class,
 )
 from oddbox.rect import (
@@ -23,7 +24,7 @@ from oddbox.rect import (
     solve_rotation,
     word_of_diagram,
 )
-from oddbox.reflect import NotEligible, t_apply
+from oddbox.reflect import EDGE_OPS, NotEligible, diagram_edge, t_apply
 from oddbox.verify import _sweep
 
 # every shape with m + n <= 9, and the coprime ones among them
@@ -41,6 +42,26 @@ def class_check(check, shape, window):
     if isinstance(bad, Exception):
         raise bad
     return bad
+
+
+def closure_by_raw_moves(shape, pair):
+    """Independent oracle: close under the four moves with their k shifts."""
+    seen = {AnchoredPair(tuple(pair[0]), pair[1])}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for parts, k in frontier:
+            for which in EDGE_OPS:
+                try:
+                    moved = diagram_edge(shape, parts, which)
+                except NotEligible:
+                    continue
+                q = AnchoredPair(moved, k + edge_shift(shape, which))
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return seen
 
 
 def boxes(shape, parts):
@@ -145,7 +166,7 @@ def oracle_build_graph(shape, lo, hi, mode):
     edges = set()
     for t, cls in enumerate(vertices):
         for root in all_signed_roots(shape, signs):
-            hits = admitting_reps(cls, root)
+            hits = admitting_reps(shape, cls.reps, root)
             if not hits:
                 continue
             rep, rot = hits[0]

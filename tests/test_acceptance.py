@@ -11,8 +11,8 @@ import time
 
 import pytest
 
-from conftest import class_check
-from oddbox import affine, orbit, rect, reflect, verify
+from conftest import class_check, closure_by_raw_moves
+from oddbox import affine, orbit, rect, verify
 
 SIX_SHAPES = [rect.RectShape(*nm) for nm in [(1, 2), (2, 3), (3, 4), (2, 5), (3, 5), (4, 5)]]
 COPRIME_9 = [
@@ -166,22 +166,7 @@ def test_09_borel_pairing():
 def test_10_noncoprime_guard():
     bad = []
     shape = rect.RectShape(2, 2)
-    start = orbit.AnchoredPair((2, 2), -2)
-    chain = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for parts, k in frontier:
-            for which in reflect.EDGE_OPS:
-                try:
-                    moved = reflect.diagram_edge(shape, parts, which)
-                except reflect.NotEligible:
-                    continue
-                q = orbit.AnchoredPair(moved, k + orbit.edge_shift(shape, which))
-                if q not in chain:
-                    chain.add(q)
-                    nxt.append(q)
-        frontier = nxt
+    chain = closure_by_raw_moves(shape, ((2, 2), -2))
     if orbit.AnchoredPair((2, 0), 0) not in chain or orbit.AnchoredPair((1, 1), 0) not in chain:
         bad.append(f"collision chain not reproduced: {sorted(chain)}")
     if (2, 0) == (1, 1):

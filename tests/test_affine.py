@@ -301,7 +301,7 @@ def test_borel_act_equivariance_spot():
     dk = borel_of_class(cls).dk
     root = OddRoot(1, 2, 1)
     assert borel_act(dk, root) == borel_of_class(act(cls, root)).dk
-    undefined = next(r for r in all_signed_roots(S23) if not admitting_reps(cls, r))
+    undefined = next(r for r in all_signed_roots(S23) if not admitting_reps(S23, cls.reps, r))
     with pytest.raises(UndefinedMorphism):
         borel_act(dk, undefined)
     with pytest.raises(ValueError, match="out of range"):

@@ -5,12 +5,18 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CLASS_SHAPES, class_check, oracle_build_graph, oracle_enumerate_class, oracle_graph_json
+from conftest import (
+    CLASS_SHAPES,
+    class_check,
+    closure_by_raw_moves,
+    oracle_build_graph,
+    oracle_enumerate_class,
+    oracle_graph_json,
+)
 from oddbox import orbit, verify
 from oddbox.orbit import (
     AnchoredPair,
     GraphTooLarge,
-    OrbitClass,
     UndefinedMorphism,
     act,
     admitting_reps,
@@ -22,7 +28,6 @@ from oddbox.orbit import (
     classes_at_degree,
     classes_per_degree,
     degree_json_chunks,
-    edge_shift,
     enumerate_class,
     graph_dot,
     graph_json_chunks,
@@ -38,30 +43,10 @@ from oddbox.rect import (
     diagram_of_word,
     word_of_diagram,
 )
-from oddbox.reflect import EDGE_OPS, NotEligible, diagram_edge
+from oddbox.reflect import diagram_edge
 
 S23 = RectShape(2, 3)
 S34 = RectShape(3, 4)
-
-
-def closure_by_raw_moves(shape, pair):
-    """Independent oracle: close under the four moves with their k shifts."""
-    seen = {AnchoredPair(tuple(pair[0]), pair[1])}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for parts, k in frontier:
-            for which in EDGE_OPS:
-                try:
-                    moved = diagram_edge(shape, parts, which)
-                except NotEligible:
-                    continue
-                q = AnchoredPair(moved, k + edge_shift(shape, which))
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return seen
 
 
 def test_enumerate_class_examples():
@@ -148,7 +133,7 @@ def test_act_well_defined_across_representatives():
             for cls in classes_at_degree(shape, d):
                 edges = out_edges(cls)
                 for root in all_signed_roots(shape):
-                    targets = verify._scan_targets(cls, root)
+                    targets = verify._scan_targets(shape, cls.reps, root)
                     assert targets == ({edges[root]} if root in edges else set())
 
 
@@ -160,20 +145,24 @@ def test_act_well_defined_across_representatives():
 )
 def test_out_edges_match_the_scan_far_from_zero(shape, data, k):
     """Past the exhaustive range, on a random word at a random k: out_edges
-    has one key per mixed adjacent pair of the cyclic word and agrees with
-    the representative scan on every signed root."""
+    has one key per mixed adjacent pair of the cyclic word, names each image
+    by its canonical pair, agrees with the representative scan on every
+    signed root, and act enumerates the class of each entry."""
     downs = data.draw(st.sets(st.integers(0, shape.size - 1), min_size=shape.n, max_size=shape.n))
     word = "".join("d" if t in downs else "r" for t in range(shape.size))
     cls = enumerate_class(shape, (diagram_of_word(shape, word), k))
     edges = out_edges(cls)
     assert len(edges) == sum(word[t - 1] != word[t] for t in range(shape.size))
+    for root, image in edges.items():
+        assert image == enumerate_class(shape, image).canonical
+        assert act(cls, root) == enumerate_class(shape, image)
     for root in all_signed_roots(shape):
-        assert verify._scan_targets(cls, root) == ({edges[root]} if root in edges else set())
+        assert verify._scan_targets(shape, cls.reps, root) == ({edges[root]} if root in edges else set())
 
 
 def test_act_undefined_raises():
     cls = enumerate_class(S23, ((0, 0), 0))
-    undefined = [r for r in all_signed_roots(S23) if not admitting_reps(cls, r)]
+    undefined = [r for r in all_signed_roots(S23) if not admitting_reps(S23, cls.reps, r)]
     assert undefined
     with pytest.raises(UndefinedMorphism):
         act(cls, undefined[0])
@@ -205,12 +194,11 @@ def test_approx_decompose_example():
 
 def test_row_class_chain_structure():
     rc = row_class(S23, ((0, 0), 0))
-    assert isinstance(rc, OrbitClass)
-    assert rc.reps == (((3, 3), -6), ((3, 0), -3), ((0, 0), 0))
-    for (p1, k1), (p2, k2) in zip(rc.reps, rc.reps[1:]):
+    assert isinstance(rc, tuple) and all(isinstance(p, AnchoredPair) for p in rc)
+    assert rc == (((3, 3), -6), ((3, 0), -3), ((0, 0), 0))
+    for (p1, k1), (p2, k2) in zip(rc, rc[1:]):
         assert diagram_edge(S23, p1, "-r") == p2 and k2 == k1 + S23.m
-    single = row_class(S23, ((2, 1), 0))
-    assert single.reps == (((2, 1), 0),)
+    assert row_class(S23, ((2, 1), 0)) == (((2, 1), 0),)
 
 
 def test_vss_check_noncoprime():

@@ -73,7 +73,7 @@ def test_refinement_checks_catch_a_collapsed_row_class(monkeypatch):
     """A row_class that drops every row move fails both refinement checks."""
 
     def single(shape, pair):
-        return orbit.OrbitClass(shape, (orbit.AnchoredPair(tuple(pair[0]), pair[1]),))
+        return (orbit.AnchoredPair(tuple(pair[0]), pair[1]),)
 
     monkeypatch.setattr(orbit, "row_class", single)
     results = {r.name: r for r in run_all(RectShape(2, 3))}
@@ -86,8 +86,9 @@ def _canonical_only(exact):
     representative admits as box moves."""
 
     def fault(cls):
-        head = orbit.OrbitClass(cls.shape, cls.reps[:1])
-        return {root: image for root, image in exact(cls).items() if orbit.admitting_reps(head, root)}
+        return {
+            root: image for root, image in exact(cls).items() if orbit.admitting_reps(cls.shape, cls.reps[:1], root)
+        }
 
     return fault
 
@@ -112,10 +113,10 @@ def test_degree_shift_catches_an_action_that_sees_the_parity_of_k(monkeypatch):
     "fault",
     [
         _canonical_only,
-        lambda exact: lambda cls: {root: cls for root in exact(cls)},
+        lambda exact: lambda cls: {root: cls.canonical for root in exact(cls)},
         lambda exact: lambda cls: {
             **exact(cls),
-            next(r for r in orbit.all_signed_roots(cls.shape) if r not in exact(cls)): cls,
+            next(r for r in orbit.all_signed_roots(cls.shape) if r not in exact(cls)): cls.canonical,
         },
     ],
     ids=["missing-edge", "wrong-image", "extra-root"],
@@ -155,7 +156,7 @@ FAULTS = {
     "corner-actions": (reflect, "corners", lambda exact: lambda shape, parts: exact(shape, parts)[::-1]),
     "edge-moves": (reflect, "shuffle_edge", lambda exact: lambda shape, shuf, which: shuf),
     "row-column-compatibility": (rect, "rotate_root", lambda exact: lambda shape, root, i=0, j=0: root),
-    "plain-embedding": (orbit, "out_edges", lambda exact: lambda cls: {root: cls for root in exact(cls)}),
+    "plain-embedding": (orbit, "out_edges", lambda exact: lambda cls: {root: cls.canonical for root in exact(cls)}),
     "class-anatomy": (
         orbit,
         "classes_at_degree",
@@ -194,6 +195,19 @@ def test_each_delegated_check_reports_a_broken_function(monkeypatch, name):
     assert not results[name].ok and "violation(s)" in results[name].detail
 
 
+def test_class_anatomy_reports_a_class_not_named_by_its_least_k(monkeypatch):
+    """A class whose first representative is not the one of least rotation
+    number is misnamed everywhere a class is named by ``reps[0]``."""
+    exact = orbit.classes_at_degree
+
+    def rotated(shape, d):
+        return tuple(orbit.OrbitClass(shape, c.reps[1:] + c.reps[:1]) for c in exact(shape, d))
+
+    monkeypatch.setattr(orbit, "classes_at_degree", rotated)
+    bad = class_check(verify._class_anatomy, RectShape(2, 3), (0, 6))
+    assert bad and all("is not named by its least rotation number" in v for v in bad)
+
+
 def _record_table_reads(monkeypatch):
     """Patch ``orbit`` to log the degree of every ``classes_at_degree`` call
     and the class of every ``out_edges`` call into the two returned lists."""
@@ -216,14 +230,23 @@ def _record_table_reads(monkeypatch):
 def test_one_run_builds_each_degree_once(monkeypatch):
     """One run on 3x4 enumerates each degree the checks read once, and reads
     the out-edges of each class of those degrees once: the window 0..11, its
-    upper end 12 (degree-shift), and d + 12 (degree-counts)."""
-    exact_classes = orbit.classes_at_degree
+    upper end 12 (degree-shift), and d + 12 (degree-counts).  No pair
+    reaches ``affine.borel_at`` twice."""
+    exact_classes, exact_borel = orbit.classes_at_degree, affine.borel_at
     degrees, acted = _record_table_reads(monkeypatch)
+    paired = []
+
+    def borel(shape, pair):
+        paired.append(orbit.AnchoredPair(tuple(pair[0]), pair[1]))
+        return exact_borel(shape, pair)
+
+    monkeypatch.setattr(affine, "borel_at", borel)
     shape = RectShape(3, 4)
     assert all(r.ok for r in run_all(shape))
     assert sorted(degrees) == list(range(24))
     assert len(acted) == len(set(acted))
     assert set(acted) == {c for d in range(13) for c in exact_classes(shape, d)}
+    assert paired and len(paired) == len(set(paired))
 
 
 def test_a_window_reads_only_its_own_degrees(monkeypatch):
@@ -257,17 +280,18 @@ def test_plain_embedding_holds_on_one_degree_far_from_zero(shape, d):
 
 def test_the_table_holds_few_degrees_on_a_wide_window(monkeypatch):
     """Memory stays flat in the width of the window: the table keeps the
-    out-edges of at most three degrees, and the classes of at most one
-    period ahead."""
+    out-edges and the Borels of at most three degrees, and the classes of
+    at most one period ahead."""
     held = []
     exact = verify._ClassTable.keep
 
     def keep(table, d):
         exact(table, d)
-        held.append((len(table._edges), len(table._classes)))
+        held.append((len(table._edges), len(table._classes), len(table._borels)))
 
     monkeypatch.setattr(verify._ClassTable, "keep", keep)
     shape = RectShape(2, 3)
     assert all(r.ok for r in run_all(shape, -30, 40))
-    assert max(e for e, _ in held) <= 3
-    assert max(c for _, c in held) <= shape.n * shape.m + 3
+    assert max(e for e, _, _ in held) <= 3
+    assert max(c for _, c, _ in held) <= shape.n * shape.m + 3
+    assert max(b for _, _, b in held) <= 3
