@@ -10,12 +10,13 @@ cyclic Gram matrix vanish.  Grey nodes are the isotropic ones.
 A finite Borel inside the affinization is the same cyclic diagram plus a
 deleted node: the other m + n - 1 node vectors, read cyclically starting
 after the deleted node, are the global names of its simple roots, while
-the attached (shuffle, k) gives their local names.  Moving the deletion
+the attached anchored pair (diagram, k) gives their local names, the
+consecutive differences of the diagram's shuffle.  Moving the deletion
 site one step corresponds to a row/column move on the local pair ("+r" and
 "-c" step forward, "-r" and "+c" step back) and never changes the cyclic
 diagram; reflecting at a grey node negates its vector, adds it to both
-cyclic neighbours, and applies the matching odd reflection to the local
-shuffle at a fixed k.  The morphism s(e_i - d_j) acts on the cyclic
+cyclic neighbours, and moves the local diagram by the box under the node
+at a fixed k.  The morphism s(e_i - d_j) acts on the cyclic
 diagram alone: it reflects at the node whose e and d coefficients are
 s(e_i - d_j), and is undefined when no node has them (``borel_act``).
 
@@ -44,7 +45,6 @@ from typing import NamedTuple
 from .rect import (
     DomainError,
     OddRoot,
-    Parts,
     RectShape,
     Shuffle,
     ShapeUnsupported,
@@ -56,9 +56,9 @@ from .rect import (
     rotate_word,
     shuffle_of_diagram,
     solve_rotation,
-    word_of_shuffle,
+    word_of_diagram,
 )
-from .reflect import NotEligible, root_pair, shuffle_edge, simple_roots
+from .reflect import NotEligible, diagram_edge, pair_root, root_pair, simple_roots, t_apply
 from .orbit import (
     AnchoredPair,
     OrbitClass,
@@ -213,30 +213,21 @@ class FiniteBorel(NamedTuple):
 
     The node vectors other than ``nodes[deleted]`` are, read cyclically
     starting after the deleted node, the global names of the simple roots
-    of the Borel locally named by (shuffle, k).
+    of the Borel locally named by ``pair``: the consecutive differences of
+    the shuffle of ``pair.diagram``, at rotation number ``pair.k``.  The
+    shuffle and the diagram are in bijection, so either names the Borel.
     """
 
     dk: CyclicDK
     deleted: int
-    shuffle: Shuffle
-    k: int
+    pair: AnchoredPair
 
     @property
     def shape(self) -> RectShape:
         return self.dk.shape
 
-    def diagram(self) -> Parts:
-        return diagram_of_shuffle(self.shape, self.shuffle)
-
     def word(self) -> str:
-        return word_of_shuffle(self.shape, self.shuffle)
-
-    def pair(self) -> AnchoredPair:
-        return AnchoredPair(self.diagram(), self.k)
-
-    @property
-    def degree(self) -> int:
-        return self.pair().degree()
+        return word_of_diagram(self.shape, self.pair.diagram)
 
     def simple_global(self) -> tuple[GlobalRoot, ...]:
         """Global names of the simple roots, in local order."""
@@ -260,7 +251,7 @@ def extend(shape: RectShape, shuf: Shuffle) -> FiniteBorel:
     theta = global_root_of_pair(shape, (shuf[0], shuf[-1]))
     alpha0 = dbar_root(shape) - theta
     dk = CyclicDK(shape, (alpha0,) + finite)
-    return FiniteBorel(dk, 0, tuple(shuf), 0)
+    return FiniteBorel(dk, 0, AnchoredPair(diagram_of_shuffle(shape, shuf), 0))
 
 
 _MOVE_STEP = {"+r": 1, "-c": 1, "-r": -1, "+c": -1}
@@ -271,30 +262,29 @@ def node_move(b: FiniteBorel, which: str) -> FiniteBorel:
     if which not in _MOVE_STEP:
         raise ValueError(f"unknown edge move {which!r}")
     shape = b.shape
-    moved = shuffle_edge(shape, b.shuffle, which)
+    moved = diagram_edge(shape, b.pair.diagram, which)
     return FiniteBorel(
         b.dk,
         (b.deleted + _MOVE_STEP[which]) % b.dk.size,
-        moved,
-        b.k + edge_shift(shape, which),
+        AnchoredPair(moved, b.pair.k + edge_shift(shape, which)),
     )
 
 
 def affine_reflect(b: FiniteBorel, node: int) -> FiniteBorel:
     """Odd reflection at a grey, undeleted node: ``CyclicDK.reflect``, and
-    the local shuffle swaps the two entries under the node at the same k."""
+    the local diagram gains or loses the box named by the two shuffle
+    entries under the node, at the same k."""
     size = b.dk.size
     node %= size
     if node == b.deleted:
         raise DeletedNode(f"node {node} is the deleted node")
     dk = b.dk.reflect(node)
     pos = (node - b.deleted - 1) % size
-    a, c = b.shuffle[pos], b.shuffle[pos + 1]
-    if (a <= b.shape.n) == (c <= b.shape.n):
+    shuf = shuffle_of_diagram(b.shape, b.pair.diagram)
+    box = pair_root(b.shape, (shuf[pos], shuf[pos + 1]))
+    if box is None:
         raise ValueError("cyclic diagram out of sync: grey node over an even local root")
-    shuf = list(b.shuffle)
-    shuf[pos], shuf[pos + 1] = shuf[pos + 1], shuf[pos]
-    return FiniteBorel(dk, b.deleted, tuple(shuf), b.k)
+    return FiniteBorel(dk, b.deleted, AnchoredPair(t_apply(b.shape, b.pair.diagram, box), b.pair.k))
 
 
 def borel_act(dk: CyclicDK, root: OddRoot) -> CyclicDK:
@@ -386,7 +376,7 @@ def borel_at(shape: RectShape, pair) -> FiniteBorel:
         vec[where[up]], vec[where[down]] = 1, -1
         dbar = (t == 0) - lift[up] + lift[down]
         nodes[(deleted + t) % size] = GlobalRoot(tuple(vec[:n]), tuple(vec[n:]), dbar)
-    return FiniteBorel(CyclicDK(shape, tuple(nodes)), deleted, shuf, k)
+    return FiniteBorel(CyclicDK(shape, tuple(nodes)), deleted, AnchoredPair(parts, k))
 
 
 def transitions(b: FiniteBorel) -> list[FiniteBorel]:
@@ -426,7 +416,7 @@ def class_of_borel(b: FiniteBorel) -> OrbitClass:
     words = dta_words(b.dk)
     if words[b.deleted] != b.word():
         raise ValueError("cyclic diagram out of sync with its local name")
-    return enumerate_class(b.shape, b.pair())
+    return enumerate_class(b.shape, b.pair)
 
 
 def borel_json(b: FiniteBorel) -> dict:
@@ -435,5 +425,5 @@ def borel_json(b: FiniteBorel) -> dict:
             {"root": r.render(), "grey": r.isotropic} for r in b.dk.nodes
         ],
         "deleted": b.deleted,
-        "local": {"partition": list(b.diagram()), "k": b.k},
+        "local": {"partition": list(b.pair.diagram), "k": b.pair.k},
     }

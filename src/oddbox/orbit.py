@@ -24,14 +24,14 @@ negative root.  A class is named by its canonical pair, the member of
 least rotation number: ``out_edges`` lists the roots with the canonical
 pair of the class each one reaches, and ``act`` looks a root up there and
 enumerates that class.  The verification suite compares them with an
-independent scan (``admitting_reps``) that rotates the root to every
-representative and applies it wherever it is a box move: all admitting
-representatives land in the same class, which is what makes the action
-well defined.
+independent scan that reads the corners of every representative, rotates
+each box move back to its global root and collects the classes the moves
+reach: every root lands in one class, whichever representative it is
+applied at, which is what makes the action well defined.
 
 Row moves alone refine each class into m chains (``row_class``), each a
 tuple of pairs; the ``refinement-bijection`` check of the verification
-suite acts on a chain through the scan.
+suite acts on a chain through the same scan.
 
 Shifting every rotation number by one, ``(diagram, k) -> (diagram, k + 1)``,
 maps the classes of degree d onto those of degree d + 1 and commutes with the
@@ -59,12 +59,11 @@ from .rect import (
     render_diagram,
     render_root,
     rotate_root,
-    rotated_root_at,
     shuffle_of_diagram,
     solve_rotation,
     word_of_diagram,
 )
-from .reflect import admits, pair_root, t_apply
+from .reflect import pair_root, t_apply
 
 
 class UndefinedMorphism(DomainError):
@@ -182,21 +181,6 @@ def all_signed_roots(shape: RectShape, signs=(1, -1)) -> tuple[OddRoot, ...]:
         for i in range(1, shape.n + 1)
         for j in range(1, shape.m + 1)
     )
-
-
-def admitting_reps(shape: RectShape, reps, root: OddRoot) -> list[tuple[AnchoredPair, OddRoot]]:
-    """The pairs of ``reps`` at which the rotated root is an actual box move.
-
-    This scan tries the root at every pair, in any order: the members of a
-    class or a row-move chain.  It is the reference that ``out_edges`` is
-    checked against.
-    """
-    out = []
-    for rep in reps:
-        rot = rotated_root_at(shape, root, rep.k)
-        if admits(shape, rep.diagram, rot):
-            out.append((rep, rot))
-    return out
 
 
 def out_edges(cls: OrbitClass) -> dict[OddRoot, AnchoredPair]:

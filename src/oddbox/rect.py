@@ -227,19 +227,16 @@ def solve_rotation(shape: RectShape, k: int) -> tuple[int, int]:
     return i, j
 
 
-def rotated_root_at(shape: RectShape, root: OddRoot, k: int) -> OddRoot:
-    """The root seen from the copy with rotation number k."""
-    i, j = solve_rotation(shape, k)
-    return rotate_root(shape, root, i, j)
-
-
 def render_diagram(parts: Parts) -> str:
     return ",".join(str(p) for p in parts)
 
 
 def parse_diagram(shape: RectShape, text: str) -> Parts:
-    """Parse a comma list such as "3,1"; short lists are padded with zero parts."""
-    entries = [e.strip() for e in text.split(",") if e.strip() != ""]
+    """Parse a comma list such as "3,1"; short lists are padded with zero
+    parts, and blank text is the empty diagram."""
+    entries = [e.strip() for e in text.split(",")] if text.strip() else []
+    if "" in entries:
+        raise ValueError(f"partition entries must not be empty: {text!r}")
     try:
         parts = [int(e) for e in entries]
     except ValueError:

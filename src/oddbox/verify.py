@@ -16,9 +16,10 @@ the Borels of the degree below it and, for ``degree-counts``, the classes
 mn degrees up.  The table is built inside each run, so a function
 patched before the run is what the table reads, and it drops the degrees
 no check can still read.  The checks keep their own references: the
-representative scan of ``action-well-defined`` and ``refinement-bijection``
-still calls ``orbit.admitting_reps`` and ``orbit.rotated_root_at``, and
-``borel-equivariance`` its own ``affine.transitions`` sweep.
+representative scan (``_scan``) of ``action-well-defined`` and
+``refinement-bijection`` reads ``reflect.corners`` at every pair, not
+``orbit.out_edges``, and ``borel-equivariance`` runs its own
+``affine.transitions`` sweep.
 """
 
 from typing import Callable, NamedTuple
@@ -303,18 +304,30 @@ def _class_generators(shape, table, window):
     return bad
 
 
-def _scan_targets(shape, reps, root):
-    """The canonical pairs of the classes that ``root`` reaches from the
-    admitting pairs of ``reps``, found by the representative scan, not by
-    ``out_edges``."""
-    return {
-        orbit.enumerate_class(shape, orbit.AnchoredPair(reflect.t_apply(shape, rep.diagram, rot), rep.k)).canonical
-        for rep, rot in orbit.admitting_reps(shape, reps, root)
-    }
+def _scan(shape, reps):
+    """The representative scan: every box move at every pair of ``reps``
+    (the members of a class or a row-move chain), named globally, with the
+    canonical pairs of the classes it reaches.
+
+    A pair (diagram, k) admits its outer corners as positive roots and its
+    inner corners as negative roots; each is named globally by rotating it
+    back by ``solve_rotation(k)``.  This reads ``reflect.corners`` at every
+    pair, not the shuffle adjacency that ``out_edges`` reads at two, and
+    ``corner-actions`` ties ``corners`` to ``reflect.admits``.
+    """
+    found: dict[rect.OddRoot, set[orbit.AnchoredPair]] = {}
+    for rep in reps:
+        i, j = rect.solve_rotation(shape, rep.k)
+        outer, inner = reflect.corners(shape, rep.diagram)
+        for box in outer + tuple(root.negated() for root in inner):
+            moved = orbit.AnchoredPair(reflect.t_apply(shape, rep.diagram, box), rep.k)
+            root = rect.rotate_root(shape, box, -i, -j)
+            found.setdefault(root, set()).add(orbit.enumerate_class(shape, moved).canonical)
+    return found
 
 
 def _action_well_defined(shape, table, window):
-    """Every admitting representative of a class sends a root to the same
+    """The scan of a class's representatives sends each root to at most one
     class, and that class is the root's entry in ``out_edges``; a root no
     representative admits has no entry."""
     bad = []
@@ -324,9 +337,10 @@ def _action_well_defined(shape, table, window):
         edges_of = table.edges(d)
         for cls in table.classes(d):
             edges = edges_of[cls]
+            found = _scan(shape, cls.reps)
             scan = {}
             for root in roots:
-                targets = _scan_targets(shape, cls.reps, root)
+                targets = found.get(root, set())
                 if len(targets) > 1:
                     bad.append(f"{rect.render_root(root)} at {orbit.class_id(cls)} hits {len(targets)} classes")
                 elif targets:
@@ -440,9 +454,9 @@ def _vss(shape, table, window):
     rotation number is divisible by m are matched against the classes: the
     map must be well defined, injective and onto, and the action must agree
     on a chain and on its class, undefined matching undefined, for every
-    signed root.  The chain's side is the representative scan over its
-    pairs; the class side is the table's ``out_edges`` of the class of the
-    chain's first pair.
+    signed root.  The chain's side is ``_scan`` over its pairs, one call
+    per chain; the class side is the table's ``out_edges`` of the class of
+    the chain's first pair.
     """
     bad = []
     roots = orbit.all_signed_roots(shape)
@@ -473,8 +487,9 @@ def _vss(shape, table, window):
             if edges is None:
                 bad.append(f"degree {d}: refinement class {key} lies in no class of degree {d}")
                 continue
+            found = _scan(shape, left[key])
             for root in roots:
-                fine, coarse = _scan_targets(shape, left[key], root), edges.get(root)
+                fine, coarse = found.get(root, set()), edges.get(root)
                 if (not fine) != (coarse is None):
                     bad.append(f"degree {d}: definedness of {rect.render_root(root)} differs at {key}")
                 elif fine and fine != {coarse}:
@@ -548,8 +563,8 @@ def _borel_equivariance(shape, table, window):
         for cls in table.classes(d):
             for rep in cls.reps:
                 for nb in affine.transitions(borel(rep)):
-                    if nb != borel(nb.pair()):
-                        at = orbit.pair_id(nb.pair())
+                    if nb != borel(nb.pair):
+                        at = orbit.pair_id(nb.pair)
                         bad.append(f"a move or reflection from {orbit.pair_id(rep)} disagrees at {at}")
             dk = borel(cls.canonical).dk
             edges = edges_of[cls]

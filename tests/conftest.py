@@ -7,7 +7,6 @@ from oddbox.orbit import (
     AnchoredPair,
     MorphismGraph,
     OrbitClass,
-    admitting_reps,
     all_signed_roots,
     class_id,
     class_json,
@@ -20,11 +19,12 @@ from oddbox.rect import (
     diagram_of_word,
     identity_shuffle,
     render_root,
+    rotate_root,
     shuffle_of_diagram,
     solve_rotation,
     word_of_diagram,
 )
-from oddbox.reflect import EDGE_OPS, NotEligible, diagram_edge, t_apply
+from oddbox.reflect import EDGE_OPS, NotEligible, admits, diagram_edge, t_apply
 from oddbox.verify import _sweep
 
 # every shape with m + n <= 9, and the coprime ones among them
@@ -123,7 +123,7 @@ def oracle_borel_search(shape, lo, hi, margin=2):
     """
     lo_band, hi_band = min(lo, 0) - margin, max(hi, 0) + margin
     base = extend(shape, identity_shuffle(shape))
-    seen = {base.pair(): base}
+    seen = {base.pair: base}
     queue = deque([base])
     while queue:
         b = queue.popleft()
@@ -139,23 +139,42 @@ def oracle_borel_search(shape, lo, hi, margin=2):
             if t != b.deleted and root.isotropic
         )
         for nb in steps:
-            if not lo_band <= nb.degree <= hi_band:
+            if not lo_band <= nb.pair.degree() <= hi_band:
                 continue
-            prev = seen.setdefault(nb.pair(), nb)
+            prev = seen.setdefault(nb.pair, nb)
             if prev is nb:
                 queue.append(nb)
             else:
-                assert prev == nb, f"anchor {nb.pair()} reached with two different diagrams"
+                assert prev == nb, f"anchor {nb.pair} reached with two different diagrams"
     return {pair: b for pair, b in seen.items() if lo <= pair.degree() <= hi}
+
+
+def oracle_scan(shape, reps, signs=(1, -1)):
+    """The class action as the paper defines it, root by root: rotate each
+    signed root to every pair of ``reps`` and keep it where it is a box
+    move.  Returns a dict from each root kept to the canonical pairs of the
+    classes its moves reach; a moved pair that lies in a class already
+    found adds nothing."""
+    found = {}
+    roots = all_signed_roots(shape, signs)
+    for rep in reps:
+        i, j = solve_rotation(shape, rep.k)
+        for root in roots:
+            local = rotate_root(shape, root, i, j)
+            if admits(shape, rep.diagram, local):
+                moved = (t_apply(shape, rep.diagram, local), rep.k)
+                targets = found.setdefault(root, [])
+                if not any(moved in cls for cls in targets):
+                    targets.append(enumerate_class(shape, moved))
+    return {root: {cls.canonical for cls in targets} for root, targets in found.items()}
 
 
 def oracle_build_graph(shape, lo, hi, mode):
     """The graph of degrees lo..hi built vertex by vertex.
 
     Every degree of the window is enumerated on its own and every class is
-    acted on by every root of the mode through the representative scan
-    (``admitting_reps``), not through ``out_edges``; an edge is kept when its
-    target lies in the window.
+    acted on by every root of the mode through ``oracle_scan``, not through
+    ``out_edges``; an edge is kept for each target that lies in the window.
     """
     vertices = []
     for d in range(lo, hi + 1):
@@ -165,15 +184,11 @@ def oracle_build_graph(shape, lo, hi, mode):
     signs = (1,) if mode == "hasse" else (1, -1)
     edges = set()
     for t, cls in enumerate(vertices):
-        for root in all_signed_roots(shape, signs):
-            hits = admitting_reps(shape, cls.reps, root)
-            if not hits:
-                continue
-            rep, rot = hits[0]
-            target = enumerate_class(shape, (t_apply(shape, rep.diagram, rot), rep.k))
-            u = index.get(target.canonical)
-            if u is not None:
-                edges.add((t, u, root))
+        for root, targets in oracle_scan(shape, cls.reps, signs).items():
+            for target in targets:
+                u = index.get(target)
+                if u is not None:
+                    edges.add((t, u, root))
     return MorphismGraph(shape, mode, lo, hi, tuple(vertices), tuple(sorted(edges)))
 
 
@@ -233,4 +248,4 @@ def oracle_borel_at(shape, pair):
         nodes[(deleted + t) % shape.size] = GlobalRoot(
             r.eps[j:] + r.eps[:j], r.dels[m - i:] + r.dels[:m - i], r.dbar - shift
         )
-    return FiniteBorel(CyclicDK(shape, tuple(nodes)), deleted, base.shuffle, k)
+    return FiniteBorel(CyclicDK(shape, tuple(nodes)), deleted, AnchoredPair(parts, k))

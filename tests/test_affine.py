@@ -23,7 +23,7 @@ from oddbox.affine import (
     transitions,
     words_from_greys,
 )
-from oddbox.orbit import UndefinedMorphism, act, all_signed_roots, classes_at_degree, enumerate_class
+from oddbox.orbit import AnchoredPair, UndefinedMorphism, act, all_signed_roots, classes_at_degree, enumerate_class
 from oddbox.rect import (
     NonCoprimeShape,
     OddRoot,
@@ -37,7 +37,7 @@ from oddbox.rect import (
 )
 from oddbox.reflect import NotEligible
 
-from conftest import CLASS_SHAPES, oracle_borel_at, oracle_borel_search
+from conftest import CLASS_SHAPES, oracle_borel_at, oracle_borel_search, oracle_scan
 
 S23 = RectShape(2, 3)
 S34 = RectShape(3, 4)
@@ -95,7 +95,7 @@ def test_basis_and_pair_roots():
 def test_extend_examples():
     hook = extend(S34, shuffle_of_diagram(S34, (4, 1, 1)))
     assert hook.dk.nodes[0] == vec(S34, dbar=1, d1=-1, e3=1)
-    assert hook.deleted == 0 and hook.k == 0
+    assert hook.deleted == 0 and hook.pair.k == 0
     assert hook.dk.node_sum() == dbar_root(S34)
 
     distinguished = extend(S23, identity_shuffle(S23))
@@ -131,14 +131,14 @@ def test_node_move_and_reflection_reproduce_global_name_table():
     assert [r.render() for r in b0.simple_global()] == GLH_ROWS["hook"]
     b1 = node_move(b0, "-r")
     assert [r.render() for r in b1.simple_global()] == GLH_ROWS["row_deleted"]
-    assert (b1.diagram(), b1.k) == ((1, 1, 0), 4)
+    assert b1.pair == ((1, 1, 0), 4)
     assert b1.deleted == 6
     b2 = affine_reflect(b1, 0)
     assert [r.render() for r in b2.simple_global()] == GLH_ROWS["reflected"]
-    assert (b2.diagram(), b2.k) == ((1, 1, 1), 4)
+    assert b2.pair == ((1, 1, 1), 4)
     b3 = node_move(b2, "-c")
     assert [r.render() for r in b3.simple_global()] == GLH_ROWS["empty_seven"]
-    assert (b3.diagram(), b3.k) == ((0, 0, 0), 7)
+    assert b3.pair == ((0, 0, 0), 7)
     assert b3.deleted == 0
     for b in (b0, b1, b2, b3):
         assert b.dk.node_sum() == dbar_root(S34)
@@ -165,16 +165,16 @@ def test_borel_at_is_one_diagram_on_a_class():
     deleted = set()
     for rep in enumerate_class(S23, ((0, 0), 0)).reps:
         b = borel_at(S23, rep)
-        assert b.dk == dk and b.pair() == rep
+        assert b.dk == dk and b.pair == rep
         deleted.add(b.deleted)
     assert deleted == set(range(5))
 
 
 def test_node_move_keeps_local_in_same_class():
     b = extend(S34, shuffle_of_diagram(S34, (4, 1, 1)))
-    cls = enumerate_class(S34, b.pair())
+    cls = enumerate_class(S34, b.pair)
     for which in ("-r", "-c"):
-        assert node_move(b, which).pair() in cls.reps
+        assert node_move(b, which).pair in cls.reps
 
 
 def test_affine_reflect_guards_and_involution():
@@ -185,6 +185,9 @@ def test_affine_reflect_guards_and_involution():
         affine_reflect(b, 1)
     twice = affine_reflect(affine_reflect(b, 2), 2)
     assert twice == b
+    # node 2 is grey, but the shuffle of (3, 3) holds 2', 3' under it
+    with pytest.raises(ValueError, match="even local root"):
+        affine_reflect(b._replace(pair=AnchoredPair((3, 3), 0)), 2)
 
 
 def test_affine_reflect_preserves_invariants():
@@ -215,14 +218,14 @@ def test_gram_of_distinguished_shape():
 
 def test_second_affinization_example():
     sigma = shuffle_of_diagram(S23, (3, 1))
-    tau = node_move(extend(S23, sigma), "-r")
-    assert render_shuffle(S23, tau.shuffle) == "1,1',2,2',3'"
+    tau = shuffle_of_diagram(S23, node_move(extend(S23, sigma), "-r").pair.diagram)
+    assert render_shuffle(S23, tau) == "1,1',2,2',3'"
     sigma1 = shuffle_of_diagram(S23, (3, 2))
-    tau1 = node_move(extend(S23, sigma1), "-r")
-    assert render_shuffle(S23, tau1.shuffle) == "1,1',2',2,3'"
+    tau1 = shuffle_of_diagram(S23, node_move(extend(S23, sigma1), "-r").pair.diagram)
+    assert render_shuffle(S23, tau1) == "1,1',2',2,3'"
     from oddbox.reflect import r_apply
 
-    assert r_apply(S23, tau.shuffle, OddRoot(1, 2, 2)) == tau1.shuffle
+    assert r_apply(S23, tau, OddRoot(1, 2, 2)) == tau1
 
 
 IOB_WORDS = {
@@ -282,7 +285,7 @@ def test_borel_class_roundtrip():
 
 def test_class_of_borel_rejects_desynced_input():
     b = extend(S23, identity_shuffle(S23))
-    broken = type(b)(b.dk, b.deleted, shuffle_of_diagram(S23, (3, 1)), 5)
+    broken = type(b)(b.dk, b.deleted, AnchoredPair((3, 1), 5))
     with pytest.raises(ValueError):
         class_of_borel(broken)
 
@@ -295,13 +298,12 @@ def test_borel_of_class_matches_global_name_table():
 
 
 def test_borel_act_equivariance_spot():
-    from oddbox.orbit import admitting_reps
-
     cls = enumerate_class(S23, ((3, 1), 0))
     dk = borel_of_class(cls).dk
     root = OddRoot(1, 2, 1)
     assert borel_act(dk, root) == borel_of_class(act(cls, root)).dk
-    undefined = next(r for r in all_signed_roots(S23) if not admitting_reps(S23, cls.reps, r))
+    admitted = oracle_scan(S23, cls.reps)
+    undefined = next(r for r in all_signed_roots(S23) if r not in admitted)
     with pytest.raises(UndefinedMorphism):
         borel_act(dk, undefined)
     with pytest.raises(ValueError, match="out of range"):
@@ -453,14 +455,14 @@ def test_borel_at_far_from_zero():
         shape, parts, k = anchor
         b = borel_at(shape, (parts, k))
         assert b == oracle_borel_at(shape, (parts, k))
-        assert b.pair() == (parts, k)
+        assert b.pair == (parts, k)
         assert b.dk.node_sum() == dbar_root(shape)
         assert all(sum(row) == 0 for row in b.dk.gram())
         greys = sum(b.dk.greys)
         assert greys > 0 and greys % 2 == 0
         assert dta_words(b.dk)[b.deleted] == b.word()
         for nb in transitions(b):
-            assert nb == borel_at(shape, nb.pair())
+            assert nb == borel_at(shape, nb.pair)
         turn = q * shape.m
         far = borel_at(shape, (parts, k + q * shape.n * shape.m))
         assert far.deleted == (b.deleted + turn) % shape.size

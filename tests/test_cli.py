@@ -85,6 +85,12 @@ def test_bad_partition_is_usage_error(capsys):
     assert "usage error" in err
 
 
+def test_empty_partition_entry_is_usage_error(capsys):
+    assert run(["borel", "--n", "3", "--m", "4", "--partition", "4,,1"]) == 2
+    _, err = out_of(capsys)
+    assert "usage error" in err and "must not be empty" in err
+
+
 def test_class_command_with_refinement(capsys):
     args = ["class", "--n", "2", "--m", "3", "--word", "ddrrr", "--approx", "--format", "json"]
     assert run(args) == 0

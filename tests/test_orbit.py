@@ -12,6 +12,7 @@ from conftest import (
     oracle_build_graph,
     oracle_enumerate_class,
     oracle_graph_json,
+    oracle_scan,
 )
 from oddbox import orbit, verify
 from oddbox.orbit import (
@@ -19,7 +20,6 @@ from oddbox.orbit import (
     GraphTooLarge,
     UndefinedMorphism,
     act,
-    admitting_reps,
     all_signed_roots,
     approx_decompose,
     build_graph,
@@ -132,9 +132,16 @@ def test_act_well_defined_across_representatives():
         for d in range(0, shape.n * shape.m + 1):
             for cls in classes_at_degree(shape, d):
                 edges = out_edges(cls)
-                for root in all_signed_roots(shape):
-                    targets = verify._scan_targets(shape, cls.reps, root)
-                    assert targets == ({edges[root]} if root in edges else set())
+                assert verify._scan(shape, cls.reps) == {root: {image} for root, image in edges.items()}
+
+
+@pytest.mark.parametrize("shape", CLASS_SHAPES, ids=lambda s: f"{s.n}x{s.m}")
+def test_the_scan_matches_the_root_by_root_definition(shape):
+    """Reading the corners of each representative finds the same roots and
+    images as rotating every root to every representative."""
+    for d in range(0, shape.n * shape.m + 1):
+        for cls in classes_at_degree(shape, d):
+            assert verify._scan(shape, cls.reps) == oracle_scan(shape, cls.reps)
 
 
 @settings(deadline=None, max_examples=60)
@@ -156,13 +163,15 @@ def test_out_edges_match_the_scan_far_from_zero(shape, data, k):
     for root, image in edges.items():
         assert image == enumerate_class(shape, image).canonical
         assert act(cls, root) == enumerate_class(shape, image)
-    for root in all_signed_roots(shape):
-        assert verify._scan_targets(shape, cls.reps, root) == ({edges[root]} if root in edges else set())
+    scan = verify._scan(shape, cls.reps)
+    assert scan == oracle_scan(shape, cls.reps)
+    assert scan == {root: {image} for root, image in edges.items()}
 
 
 def test_act_undefined_raises():
     cls = enumerate_class(S23, ((0, 0), 0))
-    undefined = [r for r in all_signed_roots(S23) if not admitting_reps(S23, cls.reps, r)]
+    admitted = oracle_scan(S23, cls.reps)
+    undefined = [r for r in all_signed_roots(S23) if r not in admitted]
     assert undefined
     with pytest.raises(UndefinedMorphism):
         act(cls, undefined[0])

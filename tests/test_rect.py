@@ -20,7 +20,6 @@ from oddbox.rect import (
     render_shuffle,
     rotate_root,
     rotate_word,
-    rotated_root_at,
     shuffle_of_word,
     solve_rotation,
     word_of_diagram,
@@ -174,8 +173,6 @@ def test_solve_rotation_residues():
             assert 0 <= i < shape.m and 0 <= j < shape.n
             assert (i * shape.n - k) % shape.m == 0
             assert (j * shape.m - k) % shape.n == 0
-            root = OddRoot(1, 1, 1)
-            assert rotated_root_at(shape, root, k) == rotate_root(shape, root, i, j)
 
 
 def test_solve_rotation_noncoprime():
@@ -214,6 +211,11 @@ def test_parse_render_diagram():
         parse_diagram(S23, "4,1")
     with pytest.raises(ValueError):
         parse_diagram(S23, "1,1,1")
+    s34 = RectShape(3, 4)
+    assert parse_diagram(s34, "") == parse_diagram(s34, " ") == (0, 0, 0)
+    for text in ("3,,1", "3,1,", ",3,1"):
+        with pytest.raises(ValueError, match="must not be empty"):
+            parse_diagram(s34, text)
 
 
 def test_parse_render_root():

@@ -43,7 +43,7 @@ def test_borel_equivariance_catches_a_skewed_coefficient(monkeypatch):
             return b
         nodes = list(b.dk.nodes)
         nodes[1] = affine.GlobalRoot(nodes[1].eps, nodes[1].dels, nodes[1].dbar + 1)
-        return affine.FiniteBorel(affine.CyclicDK(shape, tuple(nodes)), b.deleted, b.shuffle, b.k)
+        return affine.FiniteBorel(affine.CyclicDK(shape, tuple(nodes)), b.deleted, b.pair)
 
     monkeypatch.setattr(affine, "borel_at", skewed)
     results = {r.name: r for r in run_all(RectShape(2, 3))}
@@ -86,9 +86,8 @@ def _canonical_only(exact):
     representative admits as box moves."""
 
     def fault(cls):
-        return {
-            root: image for root, image in exact(cls).items() if orbit.admitting_reps(cls.shape, cls.reps[:1], root)
-        }
+        admitted = verify._scan(cls.shape, cls.reps[:1])
+        return {root: image for root, image in exact(cls).items() if root in admitted}
 
     return fault
 
@@ -130,6 +129,22 @@ def test_action_well_defined_catches_a_broken_out_edges(monkeypatch, fault):
     assert bad and all("out_edges and the scan differ" in v for v in bad)
 
 
+def test_the_scan_reads_the_inner_corners(monkeypatch):
+    """A ``reflect.corners`` that drops the inner corners loses every
+    negative root from the scan, so both checks that read it report
+    violations."""
+    exact = reflect.corners
+    monkeypatch.setattr(reflect, "corners", lambda shape, parts: (exact(shape, parts)[0], ()))
+    shape, window = RectShape(2, 3), (0, 6)
+    bad = class_check(verify._action_well_defined, shape, window)
+    assert bad and all("out_edges and the scan differ on -" in v for v in bad)
+    bad = class_check(verify._vss, shape, window)
+    assert bad and all("definedness of -" in v for v in bad)
+    results = {r.name: r for r in run_all(shape, *window)}
+    assert not results["action-well-defined"].ok
+    assert not results["refinement-bijection"].ok
+
+
 def _repeat_a_rep(exact):
     def fault(cls):
         parts = exact(cls)
@@ -143,7 +158,7 @@ def _skew_node_one(exact):
         b = exact(shape, pair)
         nodes = list(b.dk.nodes)
         nodes[1] = affine.GlobalRoot(nodes[1].eps, nodes[1].dels, nodes[1].dbar + 1)
-        return affine.FiniteBorel(affine.CyclicDK(shape, tuple(nodes)), b.deleted, b.shuffle, b.k)
+        return affine.FiniteBorel(affine.CyclicDK(shape, tuple(nodes)), b.deleted, b.pair)
 
     return fault
 
@@ -167,14 +182,14 @@ FAULTS = {
         "enumerate_class",
         lambda exact: lambda shape, pair: orbit.OrbitClass(shape, exact(shape, pair).reps[:-1]),
     ),
-    "action-well-defined": (orbit, "rotated_root_at", lambda exact: lambda shape, root, k: exact(shape, root, 0)),
+    "action-well-defined": (rect, "solve_rotation", lambda exact: lambda shape, k: exact(shape, 0)),
     "degree-counts": (orbit, "classes_per_degree", lambda exact: lambda shape: exact(shape) + 1),
     "refinement-parts": (orbit, "approx_decompose", _repeat_a_rep),
     "borel-invariants": (affine, "borel_at", _skew_node_one),
     "borel-bijection": (
         affine,
         "class_of_borel",
-        lambda exact: lambda b: orbit.enumerate_class(b.shape, (b.diagram(), b.k + 1)),
+        lambda exact: lambda b: orbit.enumerate_class(b.shape, (b.pair.diagram, b.pair.k + 1)),
     ),
 }
 
