@@ -64,11 +64,9 @@ from .affine import (
     affine_reflect,
     borel_act,
     borel_at,
-    borel_of_class,
     class_of_borel,
     dta_words,
     extend,
-    gram,
     node_move,
     transitions,
 )

@@ -300,14 +300,6 @@ def borel_act(dk: CyclicDK, root: OddRoot) -> CyclicDK:
     raise UndefinedMorphism(f"{render_root(root)} undefined on this Borel")
 
 
-def gram(obj) -> list[list[int]]:
-    """Gram matrix: full cyclic for a diagram, simple roots only for a Borel."""
-    if isinstance(obj, CyclicDK):
-        return obj.gram()
-    roots = obj.simple_global()
-    return [[a.pair(b) for b in roots] for a in roots]
-
-
 def words_from_greys(shape: RectShape, greys) -> str:
     """Recover the border word read off a cyclic grey/white pattern.
 
@@ -394,20 +386,16 @@ def transitions(b: FiniteBorel) -> list[FiniteBorel]:
     return out
 
 
-def borel_of_class(cls: OrbitClass) -> FiniteBorel:
-    """The Borel paired with a class, anchored at the canonical representative."""
-    return borel_at(cls.shape, cls.canonical)
-
-
 class BorelAtlas:
-    """The class-to-Borel pairing of one shape; refuses unsupported shapes."""
+    """The class-to-Borel pairing of one shape, anchored at each class's
+    canonical pair; refuses unsupported shapes."""
 
     def __init__(self, shape: RectShape):
         require_class_shape(shape)
         self.shape = shape
 
     def borel_of_class(self, cls: OrbitClass) -> FiniteBorel:
-        return borel_of_class(cls)
+        return borel_at(cls.shape, cls.canonical)
 
 
 def class_of_borel(b: FiniteBorel) -> OrbitClass:

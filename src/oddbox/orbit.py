@@ -4,8 +4,10 @@ A pair (diagram, k) moves by four elementary steps: deleting a full bottom
 row adds m to k, restoring one subtracts m, deleting a full first column
 adds n to k, restoring one subtracts n.  On border words every step cycles
 the word by one letter, so for coprime n, m the class of a pair has exactly
-m + n members, one per rotation of its word.  ``enumerate_class`` walks them
-with two of the moves and no words: while the top row is nonempty (the word
+m + n members, one per rotation of its word.  The member of least rotation
+number, the canonical pair, names the class; ``canonical_pair`` finds it in
+one pass over the parts.  ``enumerate_class`` walks the members from it with
+two of the moves and no words: while the top row is nonempty (the word
 starts with ``r``) it deletes the first column, adding n to k, and otherwise
 (the word starts with ``d``) it restores a full bottom row, subtracting m.
 The ``edge-moves`` check of the verification suite ties these moves to word
@@ -20,9 +22,8 @@ is one at the next representative, whose word is rotated by one letter.
 Split k = i*n + j*m: the box move adding row a, column b (the pair ``d``
 then ``r``, the shuffle entries a and b') is named by the global root
 +(e_{a-j} - d_{b+i}), indices mod n and m, and the reverse pair by the
-negative root.  A class is named by its canonical pair, the member of
-least rotation number: ``out_edges`` lists the roots with the canonical
-pair of the class each one reaches, and ``act`` looks a root up there and
+negative root.  ``out_edges`` lists the roots with the canonical pair of
+the class each one reaches, and ``act`` looks a root up there and
 enumerates that class.  The verification suite compares them with an
 independent scan that reads the corners of every representative, rotates
 each box move back to its global root and collects the classes the moves
@@ -117,10 +118,7 @@ class AnchoredPair(NamedTuple):
 
 class OrbitClass(NamedTuple):
     """The m + n representatives of one class in rotation order, from
-    ``enumerate_class``.
-
-    ``reps[0]`` is the member of minimal rotation number, unique because
-    the rotation numbers of a class are pairwise distinct; it names the
+    ``enumerate_class``, starting at the canonical pair that names the
     class.  Equality and hashing compare ``reps``, so they are class
     equality.
     """
@@ -149,18 +147,42 @@ def edge_shift(shape: RectShape, which: str) -> int:
     return {"-r": shape.m, "+r": -shape.m, "-c": shape.n, "+c": -shape.n}[which]
 
 
+def canonical_pair(shape: RectShape, pair) -> AnchoredPair:
+    """The member of least rotation number of the class of a pair, found in
+    one pass over the parts.
+
+    Moving an ``r`` from the front of the word to its back adds n to k and
+    moving a ``d`` subtracts m, so k is least just after some ``d``.  The
+    word has parts[n - i] letters ``r`` before its i-th ``d``, so rotating
+    past that ``d`` moves k by n*parts[n - i] - i*m; for coprime n, m the
+    least shift over i = 0..n is unique.  With c = parts[n - i], the rotated
+    diagram is the last i parts raised by m - c, then the others lowered by c.
+
+    >>> canonical_pair(RectShape(2, 3), ((3, 1), 0))
+    AnchoredPair(diagram=(3, 2), k=-1)
+    """
+    require_class_shape(shape)
+    parts, k = tuple(pair[0]), pair[1]
+    check_diagram(shape, parts)
+    n, m = shape.n, shape.m
+    shifts = [0] + [n * parts[n - i] - i * m for i in range(1, n + 1)]
+    i = shifts.index(min(shifts))
+    c = parts[n - i] if i else 0
+    rotated = tuple(m - c + x for x in parts[n - i:]) + tuple(x - c for x in parts[:n - i])
+    return AnchoredPair(rotated, k + shifts[i])
+
+
 def enumerate_class(shape: RectShape, pair) -> OrbitClass:
-    """The class of a pair: one representative per rotation of its word.
+    """The class of a pair: one representative per rotation of its word,
+    from the canonical pair on.
 
     Rotating the word by one letter is one raw move, so the walk never builds
     a word: a word starting with ``r`` (nonempty top row) loses its first
     column and k rises by n; one starting with ``d`` (empty top row) gets a
     full bottom row back and k falls by m.  After m + n moves the walk is
-    back at the pair it started from.
+    back at ``canonical_pair(shape, pair)``, where it started.
     """
-    require_class_shape(shape)
-    p, k = tuple(pair[0]), pair[1]
-    check_diagram(shape, p)
+    p, k = canonical_pair(shape, pair)
     n, m = shape.n, shape.m
     seq = []
     for _ in range(shape.size):
@@ -169,9 +191,7 @@ def enumerate_class(shape: RectShape, pair) -> OrbitClass:
             p, k = tuple([x - 1 for x in p]), k + n
         else:
             p, k = (m,) + p[:-1], k - m
-    ks = [rep.k for rep in seq]
-    start = ks.index(min(ks))
-    return OrbitClass(shape, tuple(seq[start:] + seq[:start]))
+    return OrbitClass(shape, tuple(seq))
 
 
 def all_signed_roots(shape: RectShape, signs=(1, -1)) -> tuple[OddRoot, ...]:
@@ -207,7 +227,7 @@ def out_edges(cls: OrbitClass) -> dict[OddRoot, AnchoredPair]:
             box = pair_root(shape, (shuf[t], shuf[t + 1]))
             if box is not None:
                 moved = AnchoredPair(t_apply(shape, rep.diagram, box), rep.k)
-                edges[rotate_root(shape, box, -i, -j)] = enumerate_class(shape, moved).canonical
+                edges[rotate_root(shape, box, -i, -j)] = canonical_pair(shape, moved)
     return edges
 
 
@@ -223,16 +243,14 @@ def act(cls: OrbitClass, root: OddRoot) -> OrbitClass:
 
 
 def classes_at_degree(shape: RectShape, d: int) -> tuple[OrbitClass, ...]:
-    """All classes of degree d; always C(m+n, n)/(m+n) of them.  A degree of
-    more than ``MAX_GRAPH_VERTICES`` classes raises ``GraphTooLarge`` before
-    any diagram is walked."""
+    """All classes of degree d, always C(m+n, n)/(m+n) of them: the distinct
+    canonical pairs of the diagrams at degree d, each enumerated once.  A
+    degree of more than ``MAX_GRAPH_VERTICES`` classes raises
+    ``GraphTooLarge`` before any diagram is read."""
     require_class_shape(shape)
     _refuse_over_cap(shape, classes_per_degree(shape), f"classes in degree {d}")
-    seen: dict[AnchoredPair, OrbitClass] = {}
-    for parts in all_diagrams(shape):
-        cls = enumerate_class(shape, AnchoredPair(parts, d - sum(parts)))
-        seen.setdefault(cls.canonical, cls)
-    return tuple(seen[key] for key in sorted(seen))
+    names = {canonical_pair(shape, (parts, d - sum(parts))) for parts in all_diagrams(shape)}
+    return tuple(enumerate_class(shape, pair) for pair in sorted(names))
 
 
 def classes_per_degree(shape: RectShape) -> int:

@@ -101,13 +101,6 @@ def simple_roots(shape: RectShape, shuf: Shuffle) -> tuple[tuple[int, int], ...]
     return tuple((shuf[t], shuf[t + 1]) for t in range(len(shuf) - 1))
 
 
-def render_pair(shape: RectShape, pair: tuple[int, int]) -> str:
-    def name(a):
-        return f"e{a}" if a <= shape.n else f"d{a - shape.n}"
-
-    return f"{name(pair[0])}-{name(pair[1])}"
-
-
 def r_apply(shape: RectShape, shuf: Shuffle, root: OddRoot) -> Shuffle:
     """Odd reflection on a shuffle: swap the adjacent entries i, j' (order fixed by the sign)."""
     a, b = root_pair(shape, root)

@@ -256,8 +256,9 @@ def _sweep(shape: rect.RectShape, window: tuple[int, int], checks) -> list:
 
 def _class_anatomy(shape, table, window):
     """Each class has m + n representatives of its degree, no two alike in
-    k or mod mn, and ``reps[0]`` has the least k: out-edges, table keys and
-    class ids all name a class by it."""
+    k or mod mn, and ``reps[0]`` has the least k and is what
+    ``orbit.canonical_pair`` gives at every representative: out-edges, table
+    keys and class ids all name a class by it."""
     bad = []
     mn = shape.n * shape.m
     for d in range(*window):
@@ -268,7 +269,8 @@ def _class_anatomy(shape, table, window):
                 bad.append(f"class {orbit.class_id(cls)} has {len(cls.reps)} representatives")
             if len(set(ks)) != len(ks):
                 bad.append(f"class {orbit.class_id(cls)} repeats a rotation number")
-            if min(ks) != cls.canonical.k:
+            named = all(orbit.canonical_pair(shape, rep) == cls.canonical for rep in cls.reps)
+            if min(ks) != cls.canonical.k or not named:
                 bad.append(f"class {orbit.class_id(cls)} is not named by its least rotation number")
             reduced = {(rep.diagram, rep.k % mn) for rep in cls.reps}
             if len(reduced) != len(cls.reps):
@@ -322,7 +324,7 @@ def _scan(shape, reps):
         for box in outer + tuple(root.negated() for root in inner):
             moved = orbit.AnchoredPair(reflect.t_apply(shape, rep.diagram, box), rep.k)
             root = rect.rotate_root(shape, box, -i, -j)
-            found.setdefault(root, set()).add(orbit.enumerate_class(shape, moved).canonical)
+            found.setdefault(root, set()).add(orbit.canonical_pair(shape, moved))
     return found
 
 
@@ -377,7 +379,7 @@ def _plain_embedding(shape, table, window):
                         continue
                     image = edges.get(root)
                     plain = orbit.AnchoredPair(reflect.t_apply(shape, rep.diagram, root), rep.k)
-                    if image is None or orbit.enumerate_class(shape, plain).canonical != image:
+                    if image is None or orbit.canonical_pair(shape, plain) != image:
                         bad.append(f"embedding not equivariant at {orbit.pair_id(rep)}, {rect.render_root(root)}")
         for parts in rect.all_diagrams(shape):
             if (sum(parts) - d) % mn == 0 and held.get(parts) != 1:
@@ -394,10 +396,7 @@ def _degree_counts(shape, table, window):
         now = table.classes(d)
         if len(now) != expect:
             bad.append(f"degree {d} has {len(now)} classes, expected {expect}")
-        shifted = {
-            orbit.enumerate_class(shape, (c.canonical.diagram, c.canonical.k + mn)).canonical
-            for c in now
-        }
+        shifted = {orbit.canonical_pair(shape, (c.canonical.diagram, c.canonical.k + mn)) for c in now}
         later = {c.canonical for c in table.classes(d + mn)}
         if shifted != later:
             bad.append(f"degree shift {d} -> {d + mn} is not a bijection")
@@ -462,8 +461,8 @@ def _vss(shape, table, window):
     roots = orbit.all_signed_roots(shape)
     for d in range(*window):
         yield d
-        edges_of = table.edges(d)
-        right = {c.canonical for c in table.classes(d)}
+        edges_of = {cls.canonical: edges for cls, edges in table.edges(d).items()}
+        right = set(edges_of)
         left = {}
         for parts in rect.all_diagrams(shape):
             k = d - sum(parts)
@@ -472,12 +471,12 @@ def _vss(shape, table, window):
                 left.setdefault(rc[0], rc)
         images, homes = {}, {}
         for key in sorted(left):
-            classes = [orbit.enumerate_class(shape, rep) for rep in left[key]]
-            targets = {c.canonical for c in classes}
+            names = [orbit.canonical_pair(shape, rep) for rep in left[key]]
+            targets = set(names)
             if len(targets) != 1:
                 bad.append(f"degree {d}: refinement class {key} maps to {len(targets)} classes")
             images[key] = min(targets)
-            homes[key] = classes[0]
+            homes[key] = names[0]
         if len(set(images.values())) != len(images):
             bad.append(f"degree {d}: map is not injective")
         if set(images.values()) != right:
@@ -579,7 +578,8 @@ def _borel_equivariance(shape, table, window):
                     continue
                 if image is None:
                     continue
-                if moved.node_sum() != one or any(sum(row) != 0 for row in moved.gram()):
+                total = moved.node_sum()  # row t of the Gram matrix sums to nodes[t].pair(total)
+                if total != one or any(node.pair(total) for node in moved.nodes):
                     bad.append(f"invariants fail after reflection at {orbit.class_id(cls)}, {rect.render_root(root)}")
                 if borel(image).dk != moved:
                     bad.append(f"equivariance fails at {orbit.class_id(cls)}, {rect.render_root(root)}")

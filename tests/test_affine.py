@@ -12,13 +12,11 @@ from oddbox.affine import (
     borel_act,
     borel_at,
     borel_json,
-    borel_of_class,
     class_of_borel,
     dbar_root,
     dta_words,
     extend,
     global_root_of_pair,
-    gram,
     node_move,
     transitions,
     words_from_greys,
@@ -55,6 +53,12 @@ def vec(shape, **coeffs):
         else:
             dels[index] = value
     return GlobalRoot(tuple(eps), tuple(dels), dbar)
+
+
+def simple_gram(b):
+    """The Gram matrix of a finite Borel's simple roots, in local order."""
+    roots = b.simple_global()
+    return [[x.pair(y) for y in roots] for x in roots]
 
 
 def test_global_root_arithmetic_and_form():
@@ -201,14 +205,14 @@ def test_affine_reflect_preserves_invariants():
 
 def test_gram_of_distinguished_shape():
     b = extend(S23, identity_shuffle(S23))
-    finite = gram(b)
+    finite = simple_gram(b)
     assert finite == [
         [2, -1, 0, 0],
         [-1, 0, 1, 0],
         [0, 1, -2, 1],
         [0, 0, 1, -2],
     ]
-    full = gram(b.dk)
+    full = b.dk.gram()
     assert all(sum(row) == 0 for row in full)
     assert [full[t][t] for t in range(5)] == [0, 2, 0, -2, -2]
     for t in range(5):
@@ -270,7 +274,7 @@ def test_words_from_greys_rejections():
 
 def test_atlas_base_point():
     base_class = enumerate_class(S23, ((0, 0), 0))
-    b = borel_of_class(base_class)
+    b = borel_at(S23, base_class.canonical)
     reference = extend(S23, identity_shuffle(S23))
     assert b.dk == reference.dk
     assert borel_at(S23, ((0, 0), 0)) == reference
@@ -278,9 +282,9 @@ def test_atlas_base_point():
 
 def test_borel_class_roundtrip():
     cls = enumerate_class(S23, ((3, 1), 0))
-    assert class_of_borel(borel_of_class(cls)) == cls
+    assert class_of_borel(borel_at(S23, cls.canonical)) == cls
     cls34 = enumerate_class(S34, ((4, 1, 1), 0))
-    assert class_of_borel(borel_of_class(cls34)) == cls34
+    assert class_of_borel(borel_at(S34, cls34.canonical)) == cls34
 
 
 def test_class_of_borel_rejects_desynced_input():
@@ -299,9 +303,9 @@ def test_borel_of_class_matches_global_name_table():
 
 def test_borel_act_equivariance_spot():
     cls = enumerate_class(S23, ((3, 1), 0))
-    dk = borel_of_class(cls).dk
+    dk = borel_at(S23, cls.canonical).dk
     root = OddRoot(1, 2, 1)
-    assert borel_act(dk, root) == borel_of_class(act(cls, root)).dk
+    assert borel_act(dk, root) == borel_at(S23, act(cls, root).canonical).dk
     admitted = oracle_scan(S23, cls.reps)
     undefined = next(r for r in all_signed_roots(S23) if r not in admitted)
     with pytest.raises(UndefinedMorphism):
@@ -314,7 +318,7 @@ def test_borel_act_equivariance_spot():
 def test_act_and_borel_act_refuse_a_root_outside_the_box(root):
     cls = enumerate_class(S23, ((1, 0), 0))
     messages = []
-    for call in (lambda: act(cls, root), lambda: borel_act(borel_of_class(cls).dk, root)):
+    for call in (lambda: act(cls, root), lambda: borel_act(borel_at(S23, cls.canonical).dk, root)):
         with pytest.raises(ValueError, match="out of range for 2x3") as caught:
             call()
         messages.append(str(caught.value))

@@ -23,6 +23,7 @@ from oddbox.orbit import (
     all_signed_roots,
     approx_decompose,
     build_graph,
+    canonical_pair,
     class_id,
     class_json,
     classes_at_degree,
@@ -102,7 +103,26 @@ def test_enumerate_class_matches_word_rotation(shape):
 def test_enumerate_class_matches_word_rotation_far_from_zero(shape, data, k):
     parts = data.draw(st.lists(st.integers(0, shape.m), min_size=shape.n, max_size=shape.n))
     parts = tuple(sorted(parts, reverse=True))
-    assert enumerate_class(shape, (parts, k)).reps == oracle_enumerate_class(shape, (parts, k)).reps
+    expect = oracle_enumerate_class(shape, (parts, k)).reps
+    assert enumerate_class(shape, (parts, k)).reps == expect
+    assert canonical_pair(shape, (parts, k)) == expect[0]
+
+
+def test_out_edges_of_a_big_box_build_no_class(monkeypatch):
+    """On the staircase class of a 60x61 box, every out-edge is named by
+    ``canonical_pair`` alone: no image class is enumerated, so the cost per
+    class stays quadratic in m + n."""
+    shape = RectShape(60, 61)
+    cls = enumerate_class(shape, (tuple(range(60, 0, -1)), 0))
+
+    def refuse(shape, pair):
+        raise AssertionError("out_edges enumerated a class")
+
+    monkeypatch.setattr(orbit, "enumerate_class", refuse)
+    edges = out_edges(cls)
+    assert len(edges) == 2 * 60
+    for image in edges.values():
+        assert image == oracle_enumerate_class(shape, image).reps[0]
 
 
 def test_class_membership_and_degree_invariance():

@@ -24,7 +24,6 @@ from oddbox.reflect import (
     p_apply,
     pair_root,
     r_apply,
-    render_pair,
     root_pair,
     simple_roots,
     t_apply,
@@ -33,6 +32,15 @@ from oddbox.reflect import (
 
 S23 = RectShape(2, 3)
 S34 = RectShape(3, 4)
+
+
+def render_pair(shape, pair):
+    """A simple root by its two shuffle symbols, e.g. "e2-d1"."""
+
+    def name(a):
+        return f"e{a}" if a <= shape.n else f"d{a - shape.n}"
+
+    return f"{name(pair[0])}-{name(pair[1])}"
 
 
 def signed_roots(shape):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import class_check
+from conftest import class_check, oracle_enumerate_class
 from oddbox import affine, orbit, rect, reflect, verify
 from oddbox.rect import RectShape
 from oddbox.verify import run_all
@@ -219,6 +219,24 @@ def test_class_anatomy_reports_a_class_not_named_by_its_least_k(monkeypatch):
         return tuple(orbit.OrbitClass(shape, c.reps[1:] + c.reps[:1]) for c in exact(shape, d))
 
     monkeypatch.setattr(orbit, "classes_at_degree", rotated)
+    bad = class_check(verify._class_anatomy, RectShape(2, 3), (0, 6))
+    assert bad and all("is not named by its least rotation number" in v for v in bad)
+
+
+def test_class_anatomy_reports_a_canonical_pair_that_names_nothing(monkeypatch):
+    """With the table's classes built by the word-rotation oracle, a
+    ``canonical_pair`` that returns its input names a class by each of its
+    representatives in turn, and ``class-anatomy`` reports it."""
+
+    def classes(shape, d):
+        found = {}
+        for parts in rect.all_diagrams(shape):
+            cls = oracle_enumerate_class(shape, (parts, d - sum(parts)))
+            found.setdefault(cls.canonical, cls)
+        return tuple(found[key] for key in sorted(found))
+
+    monkeypatch.setattr(orbit, "classes_at_degree", classes)
+    monkeypatch.setattr(orbit, "canonical_pair", lambda shape, pair: orbit.AnchoredPair(tuple(pair[0]), pair[1]))
     bad = class_check(verify._class_anatomy, RectShape(2, 3), (0, 6))
     assert bad and all("is not named by its least rotation number" in v for v in bad)
 
