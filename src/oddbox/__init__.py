@@ -68,7 +68,7 @@ from .affine import (
     dta_words,
     extend,
     node_move,
-    transitions,
+    reflected_pairs,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -58,7 +58,7 @@ from .rect import (
     solve_rotation,
     word_of_diagram,
 )
-from .reflect import NotEligible, diagram_edge, pair_root, root_pair, simple_roots, t_apply
+from .reflect import diagram_edge, pair_root, root_pair, simple_roots, t_apply
 from .orbit import (
     AnchoredPair,
     OrbitClass,
@@ -158,8 +158,8 @@ class _Cycle(NamedTuple):
 class CyclicDK(_Cycle):
     """A cyclic arrangement of m + n global roots; grey nodes are isotropic.
 
-    Valid diagrams have node sum dbar, an even positive number of grey
-    nodes, and a full Gram matrix with all row sums zero.
+    Valid diagrams have node sum dbar and an even positive number of grey
+    nodes; row t of the Gram matrix then sums to ``nodes[t].pair(dbar)`` = 0.
     """
 
     __slots__ = ()
@@ -184,16 +184,6 @@ class CyclicDK(_Cycle):
             tuple(map(sum, zip(*(r.dels for r in nodes)))),
             sum(r.dbar for r in nodes),
         )
-
-    def gram(self) -> list[list[int]]:
-        """The full cyclic Gram matrix.  The form is symmetric, so each
-        pair of nodes is paired once."""
-        nodes, size = self.nodes, len(self.nodes)
-        rows = [[0] * size for _ in nodes]
-        for s, a in enumerate(nodes):
-            for t in range(s, size):
-                rows[s][t] = rows[t][s] = a.pair(nodes[t])
-        return rows
 
     def reflect(self, node: int) -> "CyclicDK":
         """Negate a grey node's vector and add it to both cyclic neighbours,
@@ -270,21 +260,34 @@ def node_move(b: FiniteBorel, which: str) -> FiniteBorel:
     )
 
 
+def reflected_pairs(b: FiniteBorel) -> dict[int, AnchoredPair]:
+    """For each grey, undeleted node, the local pair after the odd reflection
+    there: the diagram gains or loses the box under the node, at the same k.
+
+    >>> reflected_pairs(borel_at(RectShape(2, 3), ((0, 0), 0)))
+    {2: AnchoredPair(diagram=(1, 0), k=0)}
+    """
+    shape, size = b.shape, b.dk.size
+    shuf = shuffle_of_diagram(shape, b.pair.diagram)
+    out = {}
+    for node, r in enumerate(b.dk.nodes):
+        if node == b.deleted or not r.isotropic:
+            continue
+        pos = (node - b.deleted - 1) % size
+        box = pair_root(shape, (shuf[pos], shuf[pos + 1]))
+        if box is None:
+            raise ValueError("cyclic diagram out of sync: grey node over an even local root")
+        out[node] = AnchoredPair(t_apply(shape, b.pair.diagram, box), b.pair.k)
+    return out
+
+
 def affine_reflect(b: FiniteBorel, node: int) -> FiniteBorel:
-    """Odd reflection at a grey, undeleted node: ``CyclicDK.reflect``, and
-    the local diagram gains or loses the box named by the two shuffle
-    entries under the node, at the same k."""
-    size = b.dk.size
-    node %= size
+    """Odd reflection at a grey, undeleted node: ``CyclicDK.reflect`` on the
+    cyclic diagram and ``reflected_pairs`` on the local pair."""
+    node %= b.dk.size
     if node == b.deleted:
         raise DeletedNode(f"node {node} is the deleted node")
-    dk = b.dk.reflect(node)
-    pos = (node - b.deleted - 1) % size
-    shuf = shuffle_of_diagram(b.shape, b.pair.diagram)
-    box = pair_root(b.shape, (shuf[pos], shuf[pos + 1]))
-    if box is None:
-        raise ValueError("cyclic diagram out of sync: grey node over an even local root")
-    return FiniteBorel(dk, b.deleted, AnchoredPair(t_apply(b.shape, b.pair.diagram, box), b.pair.k))
+    return FiniteBorel(b.dk.reflect(node), b.deleted, reflected_pairs(b)[node])
 
 
 def borel_act(dk: CyclicDK, root: OddRoot) -> CyclicDK:
@@ -369,21 +372,6 @@ def borel_at(shape: RectShape, pair) -> FiniteBorel:
         dbar = (t == 0) - lift[up] + lift[down]
         nodes[(deleted + t) % size] = GlobalRoot(tuple(vec[:n]), tuple(vec[n:]), dbar)
     return FiniteBorel(CyclicDK(shape, tuple(nodes)), deleted, AnchoredPair(parts, k))
-
-
-def transitions(b: FiniteBorel) -> list[FiniteBorel]:
-    """Every Borel one step away: the defined node moves, then the
-    reflections at the grey undeleted nodes."""
-    out = []
-    for which in _MOVE_STEP:
-        try:
-            out.append(node_move(b, which))
-        except NotEligible:
-            pass
-    for node in range(b.dk.size):
-        if node != b.deleted and b.dk.nodes[node].isotropic:
-            out.append(affine_reflect(b, node))
-    return out
 
 
 class BorelAtlas:

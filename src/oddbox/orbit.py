@@ -243,14 +243,18 @@ def act(cls: OrbitClass, root: OddRoot) -> OrbitClass:
 
 
 def classes_at_degree(shape: RectShape, d: int) -> tuple[OrbitClass, ...]:
-    """All classes of degree d, always C(m+n, n)/(m+n) of them: the distinct
-    canonical pairs of the diagrams at degree d, each enumerated once.  A
-    degree of more than ``MAX_GRAPH_VERTICES`` classes raises
-    ``GraphTooLarge`` before any diagram is read."""
+    """All classes of degree d, C(m+n, n)/(m+n) of them, by canonical pair.
+    Each diagram lies in one class of degree d, once, so each one not seen
+    yet is enumerated.  A degree of more than ``MAX_GRAPH_VERTICES`` classes
+    raises ``GraphTooLarge`` before any diagram is read."""
     require_class_shape(shape)
     _refuse_over_cap(shape, classes_per_degree(shape), f"classes in degree {d}")
-    names = {canonical_pair(shape, (parts, d - sum(parts))) for parts in all_diagrams(shape)}
-    return tuple(enumerate_class(shape, pair) for pair in sorted(names))
+    seen, classes = set(), []
+    for parts in all_diagrams(shape):
+        if parts not in seen:
+            classes.append(enumerate_class(shape, (parts, d - sum(parts))))
+            seen.update(rep.diagram for rep in classes[-1].reps)
+    return tuple(sorted(classes, key=lambda cls: cls.canonical))
 
 
 def classes_per_degree(shape: RectShape) -> int:

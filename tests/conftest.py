@@ -112,6 +112,23 @@ def oracle_word(shape, parts):
     return "".join(word)
 
 
+def oracle_steps(b):
+    """Every Borel one step away from ``b``: the defined node moves, then the
+    odd reflections at the grey undeleted nodes, each by ``affine_reflect``."""
+    steps = []
+    for which in ("-r", "+r", "-c", "+c"):
+        try:
+            steps.append(node_move(b, which))
+        except NotEligible:
+            pass
+    steps.extend(
+        affine_reflect(b, t)
+        for t, root in enumerate(b.dk.nodes)
+        if t != b.deleted and root.isotropic
+    )
+    return steps
+
+
 def oracle_borel_search(shape, lo, hi, margin=2):
     """Every anchored Borel of degree lo..hi, found by breadth-first search.
 
@@ -127,18 +144,7 @@ def oracle_borel_search(shape, lo, hi, margin=2):
     queue = deque([base])
     while queue:
         b = queue.popleft()
-        steps = []
-        for which in ("-r", "+r", "-c", "+c"):
-            try:
-                steps.append(node_move(b, which))
-            except NotEligible:
-                pass
-        steps.extend(
-            affine_reflect(b, t)
-            for t, root in enumerate(b.dk.nodes)
-            if t != b.deleted and root.isotropic
-        )
-        for nb in steps:
+        for nb in oracle_steps(b):
             if not lo_band <= nb.pair.degree() <= hi_band:
                 continue
             prev = seen.setdefault(nb.pair, nb)

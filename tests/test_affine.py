@@ -18,7 +18,7 @@ from oddbox.affine import (
     extend,
     global_root_of_pair,
     node_move,
-    transitions,
+    reflected_pairs,
     words_from_greys,
 )
 from oddbox.orbit import AnchoredPair, UndefinedMorphism, act, all_signed_roots, classes_at_degree, enumerate_class
@@ -35,7 +35,7 @@ from oddbox.rect import (
 )
 from oddbox.reflect import NotEligible
 
-from conftest import CLASS_SHAPES, oracle_borel_at, oracle_borel_search, oracle_scan
+from conftest import CLASS_SHAPES, oracle_borel_at, oracle_borel_search, oracle_scan, oracle_steps
 
 S23 = RectShape(2, 3)
 S34 = RectShape(3, 4)
@@ -59,6 +59,11 @@ def simple_gram(b):
     """The Gram matrix of a finite Borel's simple roots, in local order."""
     roots = b.simple_global()
     return [[x.pair(y) for y in roots] for x in roots]
+
+
+def gram_row_sums(dk):
+    """The row sums of the full cyclic Gram matrix, pair by pair."""
+    return [sum(r.pair(s) for s in dk.nodes) for r in dk.nodes]
 
 
 def test_global_root_arithmetic_and_form():
@@ -194,13 +199,24 @@ def test_affine_reflect_guards_and_involution():
         affine_reflect(b._replace(pair=AnchoredPair((3, 3), 0)), 2)
 
 
+def test_reflected_pairs_cover_the_grey_undeleted_nodes():
+    """Each grey node other than the deleted one moves the local diagram by
+    one box at the same k, as ``affine_reflect`` does there."""
+    for rep in enumerate_class(S34, ((4, 1, 1), 0)).reps:
+        b = borel_at(S34, rep)
+        pairs = reflected_pairs(b)
+        assert sorted(pairs) == [t for t, grey in enumerate(b.dk.greys) if grey and t != b.deleted]
+        for t, pair in pairs.items():
+            assert pair.k == rep.k and abs(sum(pair.diagram) - sum(rep.diagram)) == 1
+            assert affine_reflect(b, t).pair == pair
+
+
 def test_affine_reflect_preserves_invariants():
     b = affine_reflect(node_move(extend(S34, shuffle_of_diagram(S34, (4, 1, 1))), "-r"), 0)
     assert b.dk.node_sum() == dbar_root(S34)
+    assert gram_row_sums(b.dk) == [0] * 7
     greys = b.dk.greys
     assert sum(greys) % 2 == 0 and sum(greys) > 0
-    matrix = b.dk.gram()
-    assert all(sum(row) == 0 for row in matrix)
 
 
 def test_gram_of_distinguished_shape():
@@ -212,12 +228,9 @@ def test_gram_of_distinguished_shape():
         [0, 1, -2, 1],
         [0, 0, 1, -2],
     ]
-    full = b.dk.gram()
-    assert all(sum(row) == 0 for row in full)
-    assert [full[t][t] for t in range(5)] == [0, 2, 0, -2, -2]
-    for t in range(5):
-        for u in range(5):
-            assert full[t][u] == full[u][t]
+    assert b.dk.node_sum() == dbar_root(S23)
+    assert gram_row_sums(b.dk) == [0] * 5
+    assert [r.pair(r) for r in b.dk.nodes] == [0, 2, 0, -2, -2]
 
 
 def test_second_affinization_example():
@@ -385,22 +398,13 @@ def test_random_walk_preserves_diagram_invariants():
         one = dbar_root(shape)
         b = extend(shape, identity_shuffle(shape))
         for pick in choices:
-            moves = []
-            for which in ("-r", "+r", "-c", "+c"):
-                try:
-                    moves.append(node_move(b, which))
-                except NotEligible:
-                    pass
-            for node in range(b.dk.size):
-                if node != b.deleted and b.dk.nodes[node].isotropic:
-                    moves.append(affine_reflect(b, node))
+            moves = oracle_steps(b)
             b = moves[pick % len(moves)]
             assert b.dk.node_sum() == one
+            assert not any(gram_row_sums(b.dk))
             greys = b.dk.greys
             assert sum(greys) % 2 == 0 and sum(greys) >= 2
-            matrix = b.dk.gram()
-            assert all(sum(row) == 0 for row in matrix)
-            assert all(matrix[t][t] in (2, -2, 0) for t in range(b.dk.size))
+            assert all(r.pair(r) in (2, -2, 0) for r in b.dk.nodes)
             assert dta_words(b.dk)[b.deleted] == b.word()
 
     walk()
@@ -461,11 +465,11 @@ def test_borel_at_far_from_zero():
         assert b == oracle_borel_at(shape, (parts, k))
         assert b.pair == (parts, k)
         assert b.dk.node_sum() == dbar_root(shape)
-        assert all(sum(row) == 0 for row in b.dk.gram())
+        assert not any(gram_row_sums(b.dk))
         greys = sum(b.dk.greys)
         assert greys > 0 and greys % 2 == 0
         assert dta_words(b.dk)[b.deleted] == b.word()
-        for nb in transitions(b):
+        for nb in oracle_steps(b):
             assert nb == borel_at(shape, nb.pair)
         turn = q * shape.m
         far = borel_at(shape, (parts, k + q * shape.n * shape.m))

@@ -69,6 +69,53 @@ def test_borel_equivariance_catches_a_reflection_at_the_wrong_node(monkeypatch):
     assert "equivariance fails" in results["borel-equivariance"].detail
 
 
+def test_borel_equivariance_reflects_once_per_grey_node_of_a_class(monkeypatch):
+    """A class reflects its cyclic diagram once per grey node for the local
+    reflections and once per defined root for the Borel action, whatever
+    the number of its representatives."""
+    shape, window = RectShape(3, 4), (0, 12)
+    greys = sum(
+        sum(affine.borel_at(shape, cls.canonical).dk.greys)
+        for d in range(*window)
+        for cls in orbit.classes_at_degree(shape, d)
+    )
+    exact, calls = affine.CyclicDK.reflect, []
+
+    def counted(dk, node):
+        calls.append(node)
+        return exact(dk, node)
+
+    monkeypatch.setattr(affine.CyclicDK, "reflect", counted)
+    assert class_check(verify._borel_equivariance, shape, window) == []
+    assert 0 < len(calls) <= 2 * greys
+
+
+def test_borel_equivariance_reports_a_representative_with_another_diagram(monkeypatch):
+    """A representative whose Borel has grey nodes that its canonical's has
+    not is reported as a disagreeing step, not raised as a missing flip."""
+    exact = affine.borel_at
+    shape = RectShape(2, 3)
+
+    def other(shape, pair):
+        pair = orbit.AnchoredPair(tuple(pair[0]), pair[1])
+        if orbit.canonical_pair(shape, pair) == pair:
+            return exact(shape, pair)
+        return exact(shape, (pair.diagram, pair.k + 1))
+
+    strays = [
+        rep
+        for cls in orbit.classes_at_degree(shape, 0)
+        for rep in cls.reps
+        if any(g > h for g, h in zip(other(shape, rep).dk.greys, exact(shape, cls.canonical).dk.greys))
+    ]
+    assert strays
+    monkeypatch.setattr(affine, "borel_at", other)
+    bad = class_check(verify._borel_equivariance, shape, (0, 6))
+    assert any("disagrees" in v for v in bad)
+    results = {r.name: r for r in run_all(shape, 0, 6)}
+    assert not results["borel-equivariance"].ok and "violation(s)" in results["borel-equivariance"].detail
+
+
 def test_refinement_checks_catch_a_collapsed_row_class(monkeypatch):
     """A row_class that drops every row move fails both refinement checks."""
 
@@ -191,6 +238,7 @@ FAULTS = {
         "class_of_borel",
         lambda exact: lambda b: orbit.enumerate_class(b.shape, (b.pair.diagram, b.pair.k + 1)),
     ),
+    "borel-equivariance": (affine, "reflected_pairs", lambda exact: lambda b: {t: b.pair for t in exact(b)}),
 }
 
 
