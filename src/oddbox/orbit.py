@@ -157,13 +157,13 @@ def canonical_pair(shape: RectShape, pair) -> AnchoredPair:
     past that ``d`` moves k by n*parts[n - i] - i*m; for coprime n, m the
     least shift over i = 0..n is unique.  With c = parts[n - i], the rotated
     diagram is the last i parts raised by m - c, then the others lowered by c.
+    The pair is not checked: the callers pass diagrams the library made, and
+    ``enumerate_class`` checks outside input before it calls this.
 
     >>> canonical_pair(RectShape(2, 3), ((3, 1), 0))
     AnchoredPair(diagram=(3, 2), k=-1)
     """
-    require_class_shape(shape)
     parts, k = tuple(pair[0]), pair[1]
-    check_diagram(shape, parts)
     n, m = shape.n, shape.m
     shifts = [0] + [n * parts[n - i] - i * m for i in range(1, n + 1)]
     i = shifts.index(min(shifts))
@@ -182,6 +182,8 @@ def enumerate_class(shape: RectShape, pair) -> OrbitClass:
     full bottom row back and k falls by m.  After m + n moves the walk is
     back at ``canonical_pair(shape, pair)``, where it started.
     """
+    require_class_shape(shape)
+    check_diagram(shape, tuple(pair[0]))
     p, k = canonical_pair(shape, pair)
     n, m = shape.n, shape.m
     seq = []

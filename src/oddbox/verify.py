@@ -6,9 +6,10 @@ strings; an empty list is a pass.  Checks that need coprimality or exclude
 the 1x1 box are skipped with a note on other shapes, except for the guard
 checks, which assert that those shapes are refused.
 
-The class-level checks run in step, degree by degree, and read one shared
-table (``_ClassTable``) instead of enumerating, acting on and pairing each
-degree themselves: each degree's classes come from one
+Each class-level check covers one degree.  ``_sweep`` owns the degree
+loop: at each degree of the window it calls every check, and the checks
+read one shared table (``_ClassTable``) instead of enumerating, acting on
+and pairing each degree themselves: each degree's classes come from one
 ``orbit.classes_at_degree`` call, each class's out-edges (canonical pairs)
 from one ``orbit.out_edges`` call and each pair's Borel from one
 ``affine.borel_at`` call.  The checks read only the window, its upper end,
@@ -221,88 +222,74 @@ class _ClassTable:
 
 
 def _sweep(shape: rect.RectShape, window: tuple[int, int], checks) -> list:
-    """Run class-level checks in step over one ``_ClassTable``.
+    """Run class-level checks degree by degree over one ``_ClassTable``.
 
-    A check is a generator that yields a degree before it reads that degree
-    from the table, and returns its violations.  The sweep resumes the
-    checks waiting for the lowest degree, after dropping the degrees that no
-    check can still read.  The sweep stops at the degrees of the window and
-    at its upper end, which ``degree-shift`` reaches.  Returns, check by
-    check, its violations or the exception it raised.
+    A check is a function ``check(shape, table, d, memo)`` that returns the
+    violations of degree d; ``memo`` is a dict of its own that lives for the
+    run.  At each degree of the window the sweep drops the degrees that no
+    check can still read, then calls each check that has not raised.
+    Returns, check by check, its violations or the exception it raised.
     """
     table = _ClassTable(shape, window[1])
-    results = [None] * len(checks)
-    waiting = {}  # degree -> the (index, generator) of each check waiting for it
-
-    def advance(t, sweep):
-        try:
-            d = next(sweep)
-        except StopIteration as stop:
-            results[t] = stop.value
-        except Exception as exc:  # a crash fails its own check, not the sweep
-            results[t] = exc
-        else:
-            waiting.setdefault(d, []).append((t, sweep))
-
-    for t, check in enumerate(checks):
-        advance(t, check(shape, table, window))
-    while waiting:
-        d = min(waiting)
+    results = [[] for _ in checks]
+    memos = [{} for _ in checks]
+    for d in range(*window):
         table.keep(d)
-        for t, sweep in waiting.pop(d):
-            advance(t, sweep)
+        for t, check in enumerate(checks):
+            if isinstance(results[t], Exception):
+                continue
+            try:
+                results[t] += check(shape, table, d, memos[t])
+            except Exception as exc:  # a crash fails its own check, not the sweep
+                results[t] = exc
     return results
 
 
-def _class_anatomy(shape, table, window):
+def _class_anatomy(shape, table, d, memo):
     """Each class has m + n representatives of its degree, no two alike in
     k or mod mn, and ``reps[0]`` has the least k and is what
     ``orbit.canonical_pair`` gives at every representative: out-edges, table
     keys and class ids all name a class by it."""
     bad = []
     mn = shape.n * shape.m
-    for d in range(*window):
-        yield d
-        for cls in table.classes(d):
-            ks = [rep.k for rep in cls.reps]
-            if len(cls.reps) != shape.size:
-                bad.append(f"class {orbit.class_id(cls)} has {len(cls.reps)} representatives")
-            if len(set(ks)) != len(ks):
-                bad.append(f"class {orbit.class_id(cls)} repeats a rotation number")
-            named = all(orbit.canonical_pair(shape, rep) == cls.canonical for rep in cls.reps)
-            if min(ks) != cls.canonical.k or not named:
-                bad.append(f"class {orbit.class_id(cls)} is not named by its least rotation number")
-            reduced = {(rep.diagram, rep.k % mn) for rep in cls.reps}
-            if len(reduced) != len(cls.reps):
-                bad.append(f"class {orbit.class_id(cls)} repeats a representative mod {mn}")
-            if {rep.degree() for rep in cls.reps} != {d}:
-                bad.append(f"class {orbit.class_id(cls)} mixes degrees")
+    for cls in table.classes(d):
+        ks = [rep.k for rep in cls.reps]
+        if len(cls.reps) != shape.size:
+            bad.append(f"class {orbit.class_id(cls)} has {len(cls.reps)} representatives")
+        if len(set(ks)) != len(ks):
+            bad.append(f"class {orbit.class_id(cls)} repeats a rotation number")
+        named = all(orbit.canonical_pair(shape, rep) == cls.canonical for rep in cls.reps)
+        if min(ks) != cls.canonical.k or not named:
+            bad.append(f"class {orbit.class_id(cls)} is not named by its least rotation number")
+        reduced = {(rep.diagram, rep.k % mn) for rep in cls.reps}
+        if len(reduced) != len(cls.reps):
+            bad.append(f"class {orbit.class_id(cls)} repeats a representative mod {mn}")
+        if {rep.degree() for rep in cls.reps} != {d}:
+            bad.append(f"class {orbit.class_id(cls)} mixes degrees")
     return bad
 
 
-def _class_generators(shape, table, window):
+def _class_generators(shape, table, d, memo):
     """Rotation enumeration matches the closure under the four raw moves."""
     bad = []
-    for d in range(*window):
-        yield d
-        for cls in table.classes(d):
-            closure = {cls.canonical}
-            frontier = [cls.canonical]
-            while frontier:
-                nxt = []
-                for parts, k in frontier:
-                    for which in reflect.EDGE_OPS:
-                        try:
-                            moved = reflect.diagram_edge(shape, parts, which)
-                        except reflect.NotEligible:
-                            continue
-                        q = orbit.AnchoredPair(moved, k + orbit.edge_shift(shape, which))
-                        if q not in closure:
-                            closure.add(q)
-                            nxt.append(q)
-                frontier = nxt
-            if closure != set(cls.reps):
-                bad.append(f"raw generators disagree at {orbit.class_id(cls)}")
+    for cls in table.classes(d):
+        closure = {cls.canonical}
+        frontier = [cls.canonical]
+        while frontier:
+            nxt = []
+            for parts, k in frontier:
+                for which in reflect.EDGE_OPS:
+                    try:
+                        moved = reflect.diagram_edge(shape, parts, which)
+                    except reflect.NotEligible:
+                        continue
+                    q = orbit.AnchoredPair(moved, k + orbit.edge_shift(shape, which))
+                    if q not in closure:
+                        closure.add(q)
+                        nxt.append(q)
+            frontier = nxt
+        if closure != set(cls.reps):
+            bad.append(f"raw generators disagree at {orbit.class_id(cls)}")
     return bad
 
 
@@ -328,222 +315,209 @@ def _scan(shape, reps):
     return found
 
 
-def _action_well_defined(shape, table, window):
+def _action_well_defined(shape, table, d, memo):
     """The scan of a class's representatives sends each root to at most one
     class, and that class is the root's entry in ``out_edges``; a root no
     representative admits has no entry."""
     bad = []
     roots = orbit.all_signed_roots(shape)
-    for d in range(*window):
-        yield d
-        edges_of = table.edges(d)
-        for cls in table.classes(d):
-            edges = edges_of[cls]
-            found = _scan(shape, cls.reps)
-            scan = {}
-            for root in roots:
-                targets = found.get(root, set())
-                if len(targets) > 1:
-                    bad.append(f"{rect.render_root(root)} at {orbit.class_id(cls)} hits {len(targets)} classes")
-                elif targets:
-                    scan[root] = targets.pop()
-            for root in sorted(set(scan) | set(edges)):
-                if scan.get(root) != edges.get(root):
-                    bad.append(f"out_edges and the scan differ on {rect.render_root(root)} at {orbit.class_id(cls)}")
+    edges_of = table.edges(d)
+    for cls in table.classes(d):
+        edges = edges_of[cls]
+        found = _scan(shape, cls.reps)
+        scan = {}
+        for root in roots:
+            targets = found.get(root, set())
+            if len(targets) > 1:
+                bad.append(f"{rect.render_root(root)} at {orbit.class_id(cls)} hits {len(targets)} classes")
+            elif targets:
+                scan[root] = targets.pop()
+        for root in sorted(set(scan) | set(edges)):
+            if scan.get(root) != edges.get(root):
+                bad.append(f"out_edges and the scan differ on {rect.render_root(root)} at {orbit.class_id(cls)}")
     return bad
 
 
-def _plain_embedding(shape, table, window):
-    """At each degree d of the window, the representatives (p, k) with mn
-    dividing k hold each diagram p with |p| = d mod mn once, and a root that
-    p admits as a box move sends the class of (p, k) to that of (moved p, k).
+def _plain_embedding(shape, table, d, memo):
+    """At degree d, the representatives (p, k) with mn dividing k hold each
+    diagram p with |p| = d mod mn once, and a root that p admits as a box
+    move sends the class of (p, k) to that of (moved p, k).
 
     ``solve_rotation`` of a multiple of mn is (0, 0), so no root is rotated
     there: at k = 0 this is the plain embedding p -> (p, 0), elsewhere the
     embedding and the period shift that ``degree-counts`` and
     ``degree-shift`` check.  Any mn consecutive degrees cover each diagram.
     """
+    bad = []
     mn = shape.n * shape.m
     roots = orbit.all_signed_roots(shape)
-    bad = []
-    for d in range(*window):
-        yield d
-        held = {}  # diagram -> how many representatives hold it
-        for cls, edges in table.edges(d).items():
-            for rep in cls.reps:
-                if rep.k % mn:
+    held = {}  # diagram -> how many representatives hold it
+    for cls, edges in table.edges(d).items():
+        for rep in cls.reps:
+            if rep.k % mn:
+                continue
+            held[rep.diagram] = held.get(rep.diagram, 0) + 1
+            for root in roots:
+                if not reflect.admits(shape, rep.diagram, root):
                     continue
-                held[rep.diagram] = held.get(rep.diagram, 0) + 1
-                for root in roots:
-                    if not reflect.admits(shape, rep.diagram, root):
-                        continue
-                    image = edges.get(root)
-                    plain = orbit.AnchoredPair(reflect.t_apply(shape, rep.diagram, root), rep.k)
-                    if image is None or orbit.canonical_pair(shape, plain) != image:
-                        bad.append(f"embedding not equivariant at {orbit.pair_id(rep)}, {rect.render_root(root)}")
-        for parts in rect.all_diagrams(shape):
-            if (sum(parts) - d) % mn == 0 and held.get(parts) != 1:
-                bad.append(f"degree {d} holds {parts} {held.get(parts, 0)} times at k divisible by {mn}")
+                image = edges.get(root)
+                plain = orbit.AnchoredPair(reflect.t_apply(shape, rep.diagram, root), rep.k)
+                if image is None or orbit.canonical_pair(shape, plain) != image:
+                    bad.append(f"embedding not equivariant at {orbit.pair_id(rep)}, {rect.render_root(root)}")
+    for parts in rect.all_diagrams(shape):
+        if (sum(parts) - d) % mn == 0 and held.get(parts) != 1:
+            bad.append(f"degree {d} holds {parts} {held.get(parts, 0)} times at k divisible by {mn}")
     return bad
 
 
-def _degree_counts(shape, table, window):
+def _degree_counts(shape, table, d, memo):
     bad = []
     mn = shape.n * shape.m
     expect = orbit.classes_per_degree(shape)
-    for d in range(*window):
-        yield d
-        now = table.classes(d)
-        if len(now) != expect:
-            bad.append(f"degree {d} has {len(now)} classes, expected {expect}")
-        shifted = {orbit.canonical_pair(shape, (c.canonical.diagram, c.canonical.k + mn)) for c in now}
-        later = {c.canonical for c in table.classes(d + mn)}
-        if shifted != later:
-            bad.append(f"degree shift {d} -> {d + mn} is not a bijection")
+    now = table.classes(d)
+    if len(now) != expect:
+        bad.append(f"degree {d} has {len(now)} classes, expected {expect}")
+    shifted = {orbit.canonical_pair(shape, (c.canonical.diagram, c.canonical.k + mn)) for c in now}
+    later = {c.canonical for c in table.classes(d + mn)}
+    if shifted != later:
+        bad.append(f"degree shift {d} -> {d + mn} is not a bijection")
     return bad
 
 
-def _degree_shift(shape, table, window):
+def _degree_shift(shape, table, d, memo):
     """Raising every rotation number by one maps the classes of degree d onto
     those of degree d + 1, and ``act(c.shifted(1), r)`` equals
     ``act(c, rho(r)).shifted(1)``, undefined matching undefined, where rho
-    rotates roots by ``solve_rotation(shape, 1)``.  Checked from every degree
-    d of the window to d + 1, once the sweep reaches d + 1."""
+    rotates roots by ``solve_rotation(shape, 1)``.  At degree d this reads
+    degrees d and d + 1, so the last degree of the window reads its upper
+    end."""
     bad = []
     i1, j1 = rect.solve_rotation(shape, 1)
     roots = orbit.all_signed_roots(shape)
-    for d in range(*window):
-        yield d + 1
-        before, after = table.edges(d), table.edges(d + 1)
-        if {cls.shifted(1) for cls in before} != set(after):
-            bad.append(f"degree {d} does not shift onto degree {d + 1}")
-        for cls, edges in before.items():
-            up = after.get(cls.shifted(1))
-            if up is None:
-                continue
-            for root in roots:
-                image = edges.get(rect.rotate_root(shape, root, i1, j1))
-                if up.get(root) != (None if image is None else orbit.AnchoredPair(image.diagram, image.k + 1)):
-                    bad.append(f"{rect.render_root(root)} does not commute with the shift at {orbit.class_id(cls)}")
+    before, after = table.edges(d), table.edges(d + 1)
+    if {cls.shifted(1) for cls in before} != set(after):
+        bad.append(f"degree {d} does not shift onto degree {d + 1}")
+    for cls, edges in before.items():
+        up = after.get(cls.shifted(1))
+        if up is None:
+            continue
+        for root in roots:
+            image = edges.get(rect.rotate_root(shape, root, i1, j1))
+            if up.get(root) != (None if image is None else orbit.AnchoredPair(image.diagram, image.k + 1)):
+                bad.append(f"{rect.render_root(root)} does not commute with the shift at {orbit.class_id(cls)}")
     return bad
 
 
-def _approx_parts(shape, table, window):
+def _approx_parts(shape, table, d, memo):
     bad = []
-    for d in range(*window):
-        yield d
-        for cls in table.classes(d):
-            parts = orbit.approx_decompose(cls)
-            if len(parts) != shape.m or any(not p for p in parts):
-                bad.append(f"{orbit.class_id(cls)} does not split into {shape.m} nonempty parts")
-                continue
-            if sorted(rep for p in parts for rep in p) != sorted(cls.reps):
-                bad.append(f"{orbit.class_id(cls)} parts do not hold each representative exactly once")
-            got = {frozenset(p) for p in parts}
-            expect = {frozenset(orbit.row_class(shape, rep)) for rep in cls.reps}
-            if got != expect:
-                bad.append(f"{orbit.class_id(cls)} split disagrees with row-move closures")
+    for cls in table.classes(d):
+        parts = orbit.approx_decompose(cls)
+        if len(parts) != shape.m or any(not p for p in parts):
+            bad.append(f"{orbit.class_id(cls)} does not split into {shape.m} nonempty parts")
+            continue
+        if sorted(rep for p in parts for rep in p) != sorted(cls.reps):
+            bad.append(f"{orbit.class_id(cls)} parts do not hold each representative exactly once")
+        got = {frozenset(p) for p in parts}
+        expect = {frozenset(orbit.row_class(shape, rep)) for rep in cls.reps}
+        if got != expect:
+            bad.append(f"{orbit.class_id(cls)} split disagrees with row-move closures")
     return bad
 
 
-def _vss(shape, table, window):
+def _vss(shape, table, d, memo):
     """Refinement classes anchored at multiples of m biject with the classes.
 
-    For each degree of the window the row-move chains of the pairs whose
-    rotation number is divisible by m are matched against the classes: the
-    map must be well defined, injective and onto, and the action must agree
-    on a chain and on its class, undefined matching undefined, for every
-    signed root.  The chain's side is ``_scan`` over its pairs, one call
-    per chain; the class side is the table's ``out_edges`` of the class of
-    the chain's first pair.
+    At degree d the row-move chains of the pairs whose rotation number is
+    divisible by m are matched against the classes: the map must be well
+    defined, injective and onto, and the action must agree on a chain and
+    on its class, undefined matching undefined, for every signed root.  The
+    chain's side is ``_scan`` over its pairs, one call per chain; the class
+    side is the table's ``out_edges`` of the class of the chain's first
+    pair.
     """
     bad = []
     roots = orbit.all_signed_roots(shape)
-    for d in range(*window):
-        yield d
-        edges_of = {cls.canonical: edges for cls, edges in table.edges(d).items()}
-        right = set(edges_of)
-        left = {}
-        for parts in rect.all_diagrams(shape):
-            k = d - sum(parts)
-            if k % shape.m == 0:
-                rc = orbit.row_class(shape, orbit.AnchoredPair(parts, k))
-                left.setdefault(rc[0], rc)
-        images, homes = {}, {}
-        for key in sorted(left):
-            names = [orbit.canonical_pair(shape, rep) for rep in left[key]]
-            targets = set(names)
-            if len(targets) != 1:
-                bad.append(f"degree {d}: refinement class {key} maps to {len(targets)} classes")
-            images[key] = min(targets)
-            homes[key] = names[0]
-        if len(set(images.values())) != len(images):
-            bad.append(f"degree {d}: map is not injective")
-        if set(images.values()) != right:
-            bad.append(f"degree {d}: map is not onto the {len(right)} classes")
-        for key in sorted(left):
-            edges = edges_of.get(homes[key])
-            if edges is None:
-                bad.append(f"degree {d}: refinement class {key} lies in no class of degree {d}")
-                continue
-            found = _scan(shape, left[key])
-            for root in roots:
-                fine, coarse = found.get(root, set()), edges.get(root)
-                if (not fine) != (coarse is None):
-                    bad.append(f"degree {d}: definedness of {rect.render_root(root)} differs at {key}")
-                elif fine and fine != {coarse}:
-                    bad.append(f"degree {d}: {rect.render_root(root)} images differ at {key}")
+    edges_of = {cls.canonical: edges for cls, edges in table.edges(d).items()}
+    right = set(edges_of)
+    left = {}
+    for parts in rect.all_diagrams(shape):
+        k = d - sum(parts)
+        if k % shape.m == 0:
+            rc = orbit.row_class(shape, orbit.AnchoredPair(parts, k))
+            left.setdefault(rc[0], rc)
+    images, homes = {}, {}
+    for key in sorted(left):
+        names = [orbit.canonical_pair(shape, rep) for rep in left[key]]
+        targets = set(names)
+        if len(targets) != 1:
+            bad.append(f"degree {d}: refinement class {key} maps to {len(targets)} classes")
+        images[key] = min(targets)
+        homes[key] = names[0]
+    if len(set(images.values())) != len(images):
+        bad.append(f"degree {d}: map is not injective")
+    if set(images.values()) != right:
+        bad.append(f"degree {d}: map is not onto the {len(right)} classes")
+    for key in sorted(left):
+        edges = edges_of.get(homes[key])
+        if edges is None:
+            bad.append(f"degree {d}: refinement class {key} lies in no class of degree {d}")
+            continue
+        found = _scan(shape, left[key])
+        for root in roots:
+            fine, coarse = found.get(root, set()), edges.get(root)
+            if (not fine) != (coarse is None):
+                bad.append(f"degree {d}: definedness of {rect.render_root(root)} differs at {key}")
+            elif fine and fine != {coarse}:
+                bad.append(f"degree {d}: {rect.render_root(root)} images differ at {key}")
     return bad
 
 
-def _borel_invariants(shape, table, window):
+def _borel_invariants(shape, table, d, memo):
     """Node sum dbar, an even positive grey count, r.pair(r) in {2, -2, 0} and
     the local word.  Gram row t sums to nodes[t].pair(node sum): 0 at dbar."""
     bad = []
     one = affine.dbar_root(shape)
-    for d in range(*window):
-        yield d
-        for cls in table.classes(d):
-            b = table.borel(cls.canonical)
-            if b.dk.node_sum() != one:
-                bad.append(f"node sum wrong for {orbit.class_id(cls)}")
-            greys = b.dk.greys
-            if sum(greys) % 2 or not any(greys):
-                bad.append(f"grey count invalid for {orbit.class_id(cls)}")
-            for t, r in enumerate(b.dk.nodes):
-                if r.pair(r) not in (2, -2, 0):
-                    bad.append(f"diagonal entry invalid for {orbit.class_id(cls)} node {t}")
-            if affine.dta_words(b.dk)[b.deleted] != b.word():
-                bad.append(f"word extraction disagrees for {orbit.class_id(cls)}")
+    for cls in table.classes(d):
+        b = table.borel(cls.canonical)
+        if b.dk.node_sum() != one:
+            bad.append(f"node sum wrong for {orbit.class_id(cls)}")
+        greys = b.dk.greys
+        if sum(greys) % 2 or not any(greys):
+            bad.append(f"grey count invalid for {orbit.class_id(cls)}")
+        for t, r in enumerate(b.dk.nodes):
+            if r.pair(r) not in (2, -2, 0):
+                bad.append(f"diagonal entry invalid for {orbit.class_id(cls)} node {t}")
+        if affine.dta_words(b.dk)[b.deleted] != b.word():
+            bad.append(f"word extraction disagrees for {orbit.class_id(cls)}")
     return bad
 
 
-def _borel_bijection(shape, table, window):
+def _borel_bijection(shape, table, d, memo):
     bad = []
-    seen = {}  # sorted nodes -> canonical pair, over the whole window
-    shared = {}  # one object per distinct node vector, which keeps ``seen`` small
-    for d in range(*window):
-        yield d
-        for cls in table.classes(d):
-            b = table.borel(cls.canonical)
-            key = tuple(sorted(shared.setdefault(r, r) for r in b.dk.nodes))
-            if key in seen and seen[key] != cls.canonical:
-                bad.append(f"{orbit.class_id(cls)} shares a diagram with {seen[key]}")
-            seen[key] = cls.canonical
-            if affine.class_of_borel(b) != cls:
-                bad.append(f"roundtrip fails at {orbit.class_id(cls)}")
+    seen = memo.setdefault("seen", {})  # sorted nodes -> canonical pair, over the whole window
+    shared = memo.setdefault("shared", {})  # one object per distinct node vector, which keeps ``seen`` small
+    for cls in table.classes(d):
+        b = table.borel(cls.canonical)
+        key = tuple(sorted(shared.setdefault(r, r) for r in b.dk.nodes))
+        if key in seen and seen[key] != cls.canonical:
+            bad.append(f"{orbit.class_id(cls)} shares a diagram with {seen[key]}")
+        seen[key] = cls.canonical
+        if affine.class_of_borel(b) != cls:
+            bad.append(f"roundtrip fails at {orbit.class_id(cls)}")
     return bad
 
 
-def _borel_equivariance(shape, table, window):
+def _borel_equivariance(shape, table, d, memo):
     """The closed-form pairing starts at the extension of the distinguished
-    shuffle and agrees with every node move and odd reflection out of every
-    anchor in the window.  The class action, read from the table's
-    ``out_edges``, and the Borel action, which reads only the cyclic
-    diagram, agree on every class and root of the window, so with
-    ``borel-bijection`` making the vertex map a bijection, this is the
+    shuffle, checked once per run, and agrees with every node move and odd
+    reflection out of every anchor in the window.  The class action, read
+    from the table's ``out_edges``, and the Borel action, which reads only
+    the cyclic diagram, agree on every class and root of the window, so
+    with ``borel-bijection`` making the vertex map a bijection, this is the
     labelled Cayley-graph isomorphism on the window.  Each reflected diagram
-    keeps its node sum dbar, so its Gram row sums stay zero.
+    keeps its node sum dbar: ``CyclicDK.reflect`` negates the node and adds
+    it to both neighbours, so the sum cannot change, and
+    ``borel-invariants`` checks it on the table's Borels.
 
     Node moves compare each representative's Borel with its neighbour's, so
     a class reflects its canonical's diagram once per grey node and pairs
@@ -551,45 +525,39 @@ def _borel_equivariance(shape, table, window):
     node grey there but not on the canonical has no flip and disagrees.
     Degree d reads the table's anchors of degrees d - 1..d + 1."""
     bad = []
-    one = affine.dbar_root(shape)
     borel = table.borel
-    zero = orbit.AnchoredPair((0,) * shape.n, 0)
-    if borel(zero) != affine.extend(shape, rect.identity_shuffle(shape)):
-        bad.append("the empty diagram at k = 0 is not the extension of the distinguished shuffle")
+    if not memo:  # the first degree of the run
+        memo["zero"] = borel(orbit.AnchoredPair((0,) * shape.n, 0))
+        if memo["zero"] != affine.extend(shape, rect.identity_shuffle(shape)):
+            bad.append("the empty diagram at k = 0 is not the extension of the distinguished shuffle")
     roots = orbit.all_signed_roots(shape)
-    for d in range(*window):
-        yield d
-        edges_of = table.edges(d)
-        for cls in table.classes(d):
-            dk = borel(cls.canonical).dk
-            flips = {t: dk.reflect(t) for t, grey in enumerate(dk.greys) if grey}
-            for rep in cls.reps:
-                b = borel(rep)
-                steps = [affine.FiniteBorel(flips.get(t), b.deleted, pair) for t, pair in affine.reflected_pairs(b).items()]
-                for which in reflect.EDGE_OPS:
-                    try:
-                        steps.append(affine.node_move(b, which))
-                    except reflect.NotEligible:
-                        pass
-                for nb in steps:
-                    if nb != borel(nb.pair):
-                        bad.append(f"a move or reflection from {orbit.pair_id(rep)} disagrees at {orbit.pair_id(nb.pair)}")
-            edges = edges_of[cls]
-            for root in roots:
-                image = edges.get(root)
+    edges_of = table.edges(d)
+    for cls in table.classes(d):
+        dk = borel(cls.canonical).dk
+        flips = {t: dk.reflect(t) for t, grey in enumerate(dk.greys) if grey}
+        for rep in cls.reps:
+            b = borel(rep)
+            steps = [affine.FiniteBorel(flips.get(t), b.deleted, pair) for t, pair in affine.reflected_pairs(b).items()]
+            for which in reflect.EDGE_OPS:
                 try:
-                    moved = affine.borel_act(dk, root)
-                except orbit.UndefinedMorphism:
-                    moved = None
-                if (image is None) != (moved is None):
-                    bad.append(f"definedness differs at {orbit.class_id(cls)}, {rect.render_root(root)}")
-                    continue
-                if image is None:
-                    continue
-                if moved.node_sum() != one:
-                    bad.append(f"invariants fail after reflection at {orbit.class_id(cls)}, {rect.render_root(root)}")
-                if borel(image).dk != moved:
-                    bad.append(f"equivariance fails at {orbit.class_id(cls)}, {rect.render_root(root)}")
+                    steps.append(affine.node_move(b, which))
+                except reflect.NotEligible:
+                    pass
+            for nb in steps:
+                if nb != borel(nb.pair):
+                    bad.append(f"a move or reflection from {orbit.pair_id(rep)} disagrees at {orbit.pair_id(nb.pair)}")
+        edges = edges_of[cls]
+        for root in roots:
+            image = edges.get(root)
+            try:
+                moved = affine.borel_act(dk, root)
+            except orbit.UndefinedMorphism:
+                moved = None
+            if (image is None) != (moved is None):
+                bad.append(f"definedness differs at {orbit.class_id(cls)}, {rect.render_root(root)}")
+                continue
+            if image is not None and borel(image).dk != moved:
+                bad.append(f"equivariance fails at {orbit.class_id(cls)}, {rect.render_root(root)}")
     return bad
 
 

@@ -36,8 +36,9 @@ CLASS_SHAPES = [s for s in COPRIME_SHAPES if (s.n, s.m) != (1, 1)]
 
 
 def class_check(check, shape, window):
-    """The violations of one class-level check of ``oddbox.verify``, run alone
-    on its own table; an exception the check raised is raised again."""
+    """The violations of one class-level check of ``oddbox.verify`` over a
+    window, swept alone degree by degree on its own table; an exception the
+    check raised is raised again."""
     (bad,) = _sweep(shape, window, [check])
     if isinstance(bad, Exception):
         raise bad

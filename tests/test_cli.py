@@ -191,6 +191,40 @@ def test_verify_command_passes(capsys):
     assert "checks passed" in out
 
 
+VERIFY_CHECKS = (
+    "encoding-roundtrips",
+    "dual-involution",
+    "rotation-orders",
+    "corner-actions",
+    "edge-moves",
+    "row-column-compatibility",
+    "class-anatomy",
+    "class-generators",
+    "action-well-defined",
+    "plain-embedding",
+    "degree-counts",
+    "degree-shift",
+    "refinement-parts",
+    "refinement-bijection",
+    "borel-invariants",
+    "borel-bijection",
+    "borel-equivariance",
+)
+
+
+def test_verify_prints_every_check_in_order(capsys, monkeypatch):
+    """The whole stdout of ``verify`` on 2x3: one line per check in a fixed
+    order, then the summary, with and without one broken function."""
+    lines = [f"PASS  {name:24}" for name in VERIFY_CHECKS]
+    assert run(["verify", "--n", "2", "--m", "3"]) == 0
+    assert out_of(capsys) == ("\n".join(lines + ["17/17 checks passed"]) + "\n", "")
+    exact = oddbox.orbit.classes_per_degree
+    monkeypatch.setattr(oddbox.orbit, "classes_per_degree", lambda shape: exact(shape) + 1)
+    lines[10] = "FAIL  degree-counts             6 violation(s); first: degree 0 has 2 classes, expected 3"
+    assert run(["verify", "--n", "2", "--m", "3"]) == 1
+    assert out_of(capsys) == ("\n".join(lines + ["16/17 checks passed"]) + "\n", "")
+
+
 @pytest.mark.parametrize("window", ["3:3", "5:1"])
 def test_verify_rejects_empty_window(capsys, window):
     assert run(["verify", "--n", "2", "--m", "3", f"--deg={window}"]) == 2

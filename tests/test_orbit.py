@@ -125,6 +125,23 @@ def test_out_edges_of_a_big_box_build_no_class(monkeypatch):
         assert image == oracle_enumerate_class(shape, image).reps[0]
 
 
+def test_canonical_pair_checks_no_diagram_the_library_made(monkeypatch):
+    """``out_edges`` on the staircase class of a 60x61 box names its images
+    with no diagram checked again; ``enumerate_class`` still checks the
+    pair it is given."""
+    shape = RectShape(60, 61)
+    cls = enumerate_class(shape, (tuple(range(60, 0, -1)), 0))
+
+    def refuse(shape, parts):
+        raise AssertionError("a diagram was checked again")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(orbit, "check_diagram", refuse)
+        assert len(out_edges(cls)) == 2 * 60
+    with pytest.raises(ValueError):
+        enumerate_class(S23, ((4, 1), 0))
+
+
 def test_class_membership_and_degree_invariance():
     cls = enumerate_class(S23, ((3, 1), 0))
     assert ((2, 0), 2) in cls

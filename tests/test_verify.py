@@ -116,6 +116,23 @@ def test_borel_equivariance_reports_a_representative_with_another_diagram(monkey
     assert not results["borel-equivariance"].ok and "violation(s)" in results["borel-equivariance"].detail
 
 
+def test_borel_equivariance_catches_a_reflection_off_the_node_sum(monkeypatch):
+    """A ``CyclicDK.reflect`` that adds the node to one neighbour only moves
+    the node sum off dbar.  ``borel-equivariance`` has no node-sum clause:
+    the moved diagram disagrees with the table's Borel of its pair."""
+
+    def one_sided(dk, node):
+        nodes = list(dk.nodes)
+        nodes[node] = -dk.nodes[node]
+        nodes[(node + 1) % dk.size] += dk.nodes[node]
+        return affine.CyclicDK(dk.shape, tuple(nodes))
+
+    monkeypatch.setattr(affine.CyclicDK, "reflect", one_sided)
+    bad = class_check(verify._borel_equivariance, RectShape(2, 3), (0, 6))
+    assert any("disagrees" in v for v in bad)
+    assert any("equivariance fails" in v for v in bad)
+
+
 def test_refinement_checks_catch_a_collapsed_row_class(monkeypatch):
     """A row_class that drops every row move fails both refinement checks."""
 
@@ -256,6 +273,26 @@ def test_each_delegated_check_reports_a_broken_function(monkeypatch, name):
         assert dict(verify._GENERIC)[name](shape, window)
     results = {r.name: r for r in run_all(shape, *window)}
     assert not results[name].ok and "violation(s)" in results[name].detail
+
+
+def test_a_crashing_check_fails_alone(monkeypatch):
+    """A check that raises fails with the exception as its detail, the
+    sweep calls it at no later degree, and every other check runs on."""
+    exact, degrees = orbit.approx_decompose, set()
+
+    def crash(cls):
+        degrees.add(cls.degree)
+        if cls.degree == 2:
+            raise RuntimeError("no split at degree 2")
+        return exact(cls)
+
+    monkeypatch.setattr(orbit, "approx_decompose", crash)
+    results = run_all(RectShape(2, 3))
+    assert len(results) == 17
+    assert [(r.name, r.detail) for r in results if not r.ok] == [
+        ("refinement-parts", "RuntimeError: no split at degree 2")
+    ]
+    assert degrees == {0, 1, 2}
 
 
 def test_class_anatomy_reports_a_class_not_named_by_its_least_k(monkeypatch):
