@@ -1,18 +1,19 @@
 """Rotation-number classes of diagrams and the extended groupoid action.
 
-A pair (diagram, k) moves by four elementary steps: deleting a full bottom
-row adds m to k, restoring one subtracts m, deleting a full first column
-adds n to k, restoring one subtracts n.  On border words every step cycles
-the word by one letter, so for coprime n, m the class of a pair has exactly
-m + n members, one per rotation of its word.  The member of least rotation
-number, the canonical pair, names the class; ``canonical_pair`` finds it in
-one pass over the parts.  ``enumerate_class`` walks the members from it with
-two of the moves and no words: while the top row is nonempty (the word
-starts with ``r``) it deletes the first column, adding n to k, and otherwise
-(the word starts with ``d``) it restores a full bottom row, subtracting m.
-The ``edge-moves`` check of the verification suite ties these moves to word
-rotation, and ``class-generators`` ties the walk to the closure under all
-four moves.
+A pair (diagram, k) moves by four elementary steps: deleting a full bottom row
+adds m to k, restoring one subtracts m, deleting a full first column adds n to
+k, restoring one subtracts n.  On border words every step cycles the word by
+one letter, so for coprime n, m the class of a pair has exactly m + n members,
+one per rotation of its word.  The member of least rotation number, the
+canonical pair, names the class; ``canonical_pair`` finds it in one pass over
+the parts.  By the cycle lemma its diagram is the rational Dyck one: a full
+bottom row, and more than i*m/n boxes in row i from the top.
+``enumerate_class`` walks the members from it with two of the moves and no
+words: while the top row is nonempty (the word starts with ``r``) it deletes
+the first column, adding n to k, and otherwise (the word starts with ``d``) it
+restores a full bottom row, subtracting m.  The ``edge-moves`` check of the
+verification suite ties these moves to word rotation, and ``class-generators``
+ties the walk to the closure under all four moves.
 
 The groupoid acts on classes by swapping one mixed adjacent pair of the
 cyclic border word, as odd reflections act on affine Borels.  At the
@@ -54,7 +55,6 @@ from .rect import (
     RectShape,
     NonCoprimeShape,
     ShapeUnsupported,
-    all_diagrams,
     check_diagram,
     check_root,
     render_diagram,
@@ -245,18 +245,17 @@ def act(cls: OrbitClass, root: OddRoot) -> OrbitClass:
 
 
 def classes_at_degree(shape: RectShape, d: int) -> tuple[OrbitClass, ...]:
-    """All classes of degree d, C(m+n, n)/(m+n) of them, by canonical pair.
-    Each diagram lies in one class of degree d, once, so each one not seen
-    yet is enumerated.  A degree of more than ``MAX_GRAPH_VERTICES`` classes
-    raises ``GraphTooLarge`` before any diagram is read."""
+    """All C(m+n, n)/(m+n) classes of degree d, by canonical pair: one
+    ``enumerate_class`` walk from each rational Dyck diagram.  Grown from (m,)
+    a row up, row i from the top taking each value from i*m//n + 1 to the row
+    below, those come in lexicographic, that is canonical-pair, order.  Over
+    ``MAX_GRAPH_VERTICES`` classes raise ``GraphTooLarge`` first."""
     require_class_shape(shape)
     _refuse_over_cap(shape, classes_per_degree(shape), f"classes in degree {d}")
-    seen, classes = set(), []
-    for parts in all_diagrams(shape):
-        if parts not in seen:
-            classes.append(enumerate_class(shape, (parts, d - sum(parts))))
-            seen.update(rep.diagram for rep in classes[-1].reps)
-    return tuple(sorted(classes, key=lambda cls: cls.canonical))
+    dyck = [(shape.m,)]
+    for i in range(shape.n - 1, 0, -1):
+        dyck = [p + (v,) for p in dyck for v in range(i * shape.m // shape.n + 1, p[-1] + 1)]
+    return tuple(enumerate_class(shape, (p, d - sum(p))) for p in dyck)
 
 
 def classes_per_degree(shape: RectShape) -> int:

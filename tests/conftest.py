@@ -10,12 +10,12 @@ from oddbox.orbit import (
     all_signed_roots,
     class_id,
     class_json,
-    classes_at_degree,
     edge_shift,
     enumerate_class,
 )
 from oddbox.rect import (
     RectShape,
+    all_diagrams,
     diagram_of_word,
     identity_shuffle,
     render_root,
@@ -185,7 +185,7 @@ def oracle_build_graph(shape, lo, hi, mode):
     """
     vertices = []
     for d in range(lo, hi + 1):
-        vertices.extend(classes_at_degree(shape, d))
+        vertices.extend(oracle_classes_at_degree(shape, d))
     vertices.sort(key=lambda c: (c.degree, c.canonical))
     index = {c.canonical: t for t, c in enumerate(vertices)}
     signs = (1,) if mode == "hasse" else (1, -1)
@@ -232,6 +232,17 @@ def oracle_enumerate_class(shape, pair):
         word = word[1:] + word[0]
     start = min(range(len(seq)), key=lambda t: seq[t].k)
     return OrbitClass(shape, tuple(seq[start:] + seq[:start]))
+
+
+def oracle_classes_at_degree(shape, d):
+    """The classes of degree d from every diagram of the box: the class of
+    each diagram at degree d by word rotation, one per canonical pair,
+    sorted by it."""
+    classes = {}
+    for parts in all_diagrams(shape):
+        cls = oracle_enumerate_class(shape, (parts, d - sum(parts)))
+        classes.setdefault(cls.canonical, cls)
+    return tuple(classes[c] for c in sorted(classes))
 
 
 def oracle_borel_at(shape, pair):

@@ -1,5 +1,6 @@
 import json
 import time
+from functools import cache
 from math import comb
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import (
     class_check,
     closure_by_raw_moves,
     oracle_build_graph,
+    oracle_classes_at_degree,
     oracle_enumerate_class,
     oracle_graph_json,
     oracle_scan,
@@ -226,6 +228,53 @@ def test_classes_at_degree_counts():
         assert len(classes_at_degree(S23, d)) == 2
         assert len(classes_at_degree(S34, d)) == 5
     assert classes_per_degree(RectShape(4, 5)) == 14
+
+
+@pytest.mark.parametrize("shape", CLASS_SHAPES, ids=lambda s: f"{s.n}x{s.m}")
+def test_classes_at_degree_matches_the_oracle(shape):
+    """The classes from the Dyck diagrams are the classes of every diagram
+    of the box, in the same order."""
+    mn = shape.n * shape.m
+    for d in (0, 1, -mn - 1, 2 * mn + 3):
+        assert classes_at_degree(shape, d) == oracle_classes_at_degree(shape, d)
+
+
+@cache
+def _classes_at_seven(shape):
+    return classes_at_degree(shape, 7)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([RectShape(5, 8), RectShape(7, 9), RectShape(8, 11)]), st.data())
+def test_classes_at_degree_names_a_random_class_in_a_big_box(shape, data):
+    """Past the exhaustive range: the class of a random diagram at degree 7,
+    by word rotation, is named among the classes of that degree, and there
+    are ``classes_per_degree`` of them."""
+    parts = data.draw(st.lists(st.integers(0, shape.m), min_size=shape.n, max_size=shape.n))
+    parts = tuple(sorted(parts, reverse=True))
+    listed = _classes_at_seven(shape)
+    assert len(listed) == classes_per_degree(shape)
+    assert oracle_enumerate_class(shape, (parts, 7 - sum(parts))).canonical in {c.canonical for c in listed}
+
+
+def test_classes_at_degree_reads_no_diagram_of_the_box(monkeypatch):
+    """The classes of a degree come from their Dyck diagrams alone: no
+    walk over the box, and one ``enumerate_class`` call per class."""
+    calls = []
+    exact = orbit.enumerate_class
+
+    def refuse(shape):
+        raise AssertionError("the box was walked")
+
+    def counting(shape, pair):
+        calls.append(pair)
+        return exact(shape, pair)
+
+    monkeypatch.setattr(orbit, "all_diagrams", refuse, raising=False)
+    monkeypatch.setattr(orbit, "enumerate_class", counting)
+    shape = RectShape(9, 10)
+    assert len(classes_at_degree(shape, 0)) == 4_862
+    assert len(calls) == 4_862 == classes_per_degree(shape)
 
 
 def test_approx_decompose_example():

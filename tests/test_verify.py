@@ -25,6 +25,16 @@ def test_suite_guards_excluded_shapes(nm):
     assert not failures, failures
 
 
+def test_shape_guard_catches_a_class_operation_that_accepts_any_shape(monkeypatch):
+    """With the shape check gone, the class operations of ``orbit`` run on a
+    non-coprime box, and only ``shape-guard`` fails."""
+    monkeypatch.setattr(orbit, "require_class_shape", lambda shape: None)
+    failures = [(r.name, r.detail) for r in run_all(RectShape(2, 2)) if not r.ok]
+    assert failures == [
+        ("shape-guard", "2 violation(s); first: class operation did not refuse a non-coprime shape")
+    ]
+
+
 def test_window_override_is_respected():
     results = run_all(RectShape(2, 3), 0, 2)
     assert all(r.ok for r in results)
