@@ -69,6 +69,7 @@ from .affine import (
     extend,
     node_move,
     reflected_pairs,
+    site_pairs,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -32,9 +32,11 @@ with D = i - j - c*m, and D is the deleted node.  ``borel_at`` builds each
 node straight from the two shuffle symbols under it, without ``extend``.
 Raising k by mn lowers c by one, so it rotates the positions by m and raises
 each dbar coefficient by the sum of the node's e coefficients.
-The formula is checked, not assumed: ``verify`` compares it with ``extend``
-at the empty diagram and k = 0 and with every node move and odd reflection
-out of every anchor in its window, and the tests compare it with a
+The formula is checked, not assumed, and decoded as well as computed:
+``site_pairs`` reads each deletion site's anchored pair back from the node
+vectors alone.  ``verify`` compares the formula with ``extend`` at the empty
+diagram and k = 0, with every node move and odd reflection out of every
+anchor in its window and with the decoder, and the tests compare it with a
 breadth-first search over those moves and reflections from the extension of
 the distinguished shuffle, and with rotating ``extend`` node by node.
 """
@@ -52,11 +54,11 @@ from .rect import (
     check_root,
     check_shuffle,
     diagram_of_shuffle,
+    diagram_of_word,
     render_root,
     rotate_word,
     shuffle_of_diagram,
     solve_rotation,
-    word_of_diagram,
 )
 from .reflect import diagram_edge, pair_root, root_pair, simple_roots, t_apply
 from .orbit import (
@@ -215,9 +217,6 @@ class FiniteBorel(NamedTuple):
     @property
     def shape(self) -> RectShape:
         return self.dk.shape
-
-    def word(self) -> str:
-        return word_of_diagram(self.shape, self.pair.diagram)
 
     def simple_global(self) -> tuple[GlobalRoot, ...]:
         """Global names of the simple roots, in local order."""
@@ -386,13 +385,50 @@ class BorelAtlas:
         return borel_at(cls.shape, cls.canonical)
 
 
-def class_of_borel(b: FiniteBorel) -> OrbitClass:
-    """The class paired with a Borel, after a consistency check of its diagram."""
-    require_class_shape(b.shape)
-    words = dta_words(b.dk)
-    if words[b.deleted] != b.word():
-        raise ValueError("cyclic diagram out of sync with its local name")
-    return enumerate_class(b.shape, b.pair)
+def site_pairs(dk: CyclicDK) -> tuple[AnchoredPair, ...]:
+    """Entry s is the anchored pair whose Borel deletes node s, read from the
+    node vectors alone.  After the site, the nodes' +1 coordinates are the
+    rotated shuffle symbols and the running sum of their dbar coefficients
+    gives each symbol's lift: the first e and the first d give j and i, the
+    lift is 0 at d_1 and c - [j > 0] at e_1, and the diagram is that of the
+    site's word in ``dta_words``.  Raises ``NotTypeA`` unless each node is a
+    difference of two basis vectors plus a multiple of dbar and the nodes
+    chain (-1 coordinate to next +1) through every basis vector once.
+
+    >>> b = borel_at(RectShape(2, 3), ((1, 0), 4))
+    >>> b.deleted, site_pairs(b.dk)[b.deleted]
+    (2, AnchoredPair(diagram=(1, 0), k=4))
+    """
+    require_class_shape(dk.shape)
+    n, m, size = dk.shape.n, dk.shape.m, dk.size
+    vecs, unit = [r.eps + r.dels for r in dk.nodes], [-1] + [0] * (size - 2) + [1]
+    for t, vec in enumerate(vecs):
+        if sorted(vec) != unit:
+            raise NotTypeA(f"node {t} ({dk.nodes[t].render()}) is not a difference of two basis vectors")
+    plus = [vec.index(1) for vec in vecs]
+    if sorted(plus) != list(range(size)) or any(vecs[t - 1][plus[t]] != -1 for t in range(size)):
+        raise NotTypeA("the nodes do not chain through every basis vector once")
+    words, out = dta_words(dk), []
+    for s in range(size):
+        lift, first = 0, {}  # running dbar sum; is-e -> (coordinate, lift) of the first such symbol
+        for t in range(s + 1, s + size + 1):
+            first.setdefault(plus[t % size] < n, (plus[t % size], lift))
+            lift += dk.nodes[t % size].dbar
+        (a, e_lift), (b, d_lift) = first[True], first[False]
+        j = -a % n
+        k = (b - n) * n + j * m - (e_lift - d_lift + (j > 0)) * n * m
+        out.append(AnchoredPair(diagram_of_word(dk.shape, words[s]), k))
+    return tuple(out)
+
+
+def class_of_borel(dk: CyclicDK) -> OrbitClass:
+    """The class whose members are the ``site_pairs`` of a cyclic diagram, or
+    ``NotTypeA``: a left inverse of the pairing, read from the nodes alone."""
+    pairs = site_pairs(dk)
+    cls = enumerate_class(dk.shape, pairs[0])
+    if set(cls.reps) != set(pairs):
+        raise NotTypeA("the deletion sites do not read one class")
+    return cls
 
 
 def borel_json(b: FiniteBorel) -> dict:

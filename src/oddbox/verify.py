@@ -6,21 +6,22 @@ strings; an empty list is a pass.  Checks that need coprimality or exclude
 the 1x1 box are skipped with a note on other shapes, except for the guard
 checks, which assert that those shapes are refused.
 
-Each class-level check covers one degree.  ``_sweep`` owns the degree
-loop: at each degree of the window it calls every check, and the checks
-read one shared table (``_ClassTable``) instead of enumerating, acting on
-and pairing each degree themselves: each degree's classes come from one
+Each class-level check covers one degree.  ``_sweep`` owns the degree loop:
+at each degree of the window it calls every check, and the checks read one
+shared table (``_ClassTable``) instead of enumerating, acting on and
+pairing each degree themselves: each degree's classes come from one
 ``orbit.classes_at_degree`` call, each class's out-edges (canonical pairs)
 from one ``orbit.out_edges`` call and each pair's Borel from one
 ``affine.borel_at`` call.  The checks read only the window, its upper end,
 the Borels of the degree below it and, for ``degree-counts``, the classes
-mn degrees up.  The table is built inside each run, so a function
-patched before the run is what the table reads, and it drops the degrees
-no check can still read.  The checks keep their own references: the
-representative scan (``_scan``) of ``action-well-defined`` and
-``refinement-bijection`` reads ``reflect.corners`` at every pair, not
-``orbit.out_edges``, and ``borel-equivariance`` reads every node move and
-odd reflection out of every representative itself.
+mn degrees up.  The table is built inside each run, so a function patched
+before the run is what the table reads, and it drops the degrees no check
+can still read; no check keeps anything between degrees.  The checks keep
+their own references: the representative scan (``_scan``) of
+``action-well-defined`` and ``refinement-bijection`` reads
+``reflect.corners`` at every pair, not ``orbit.out_edges``, and
+``borel-equivariance`` reads every node move and odd reflection out of
+every representative itself.
 """
 
 from typing import Callable, NamedTuple
@@ -186,14 +187,14 @@ class _ClassTable:
 
     ``classes(d)`` calls ``orbit.classes_at_degree``, ``edges(d)`` calls
     ``orbit.out_edges`` on each class of degree d and ``borel(pair)`` calls
-    ``affine.borel_at``, each once while the degree is held.  ``hi`` is the
-    highest degree the sweep stops at; ``keep(d)`` drops every degree below
-    d - 1 or above ``hi``, so memory stays flat in the width of the window.
+    ``affine.borel_at``, each once while the degree is held.  The window
+    runs from ``lo`` and the sweep stops at ``hi``; ``keep(d)`` drops every
+    degree below d - 1 or above ``hi``, so memory stays flat in its width.
     """
 
-    def __init__(self, shape: rect.RectShape, hi: int):
+    def __init__(self, shape: rect.RectShape, lo: int, hi: int):
         self.shape = shape
-        self.hi = hi
+        self.lo, self.hi = lo, hi
         self._classes: dict[int, tuple[orbit.OrbitClass, ...]] = {}
         self._edges: dict[int, dict[orbit.OrbitClass, dict]] = {}
         self._borels: dict[int, dict[orbit.AnchoredPair, affine.FiniteBorel]] = {}
@@ -224,28 +225,27 @@ class _ClassTable:
 def _sweep(shape: rect.RectShape, window: tuple[int, int], checks) -> list:
     """Run class-level checks degree by degree over one ``_ClassTable``.
 
-    A check is a function ``check(shape, table, d, memo)`` that returns the
-    violations of degree d; ``memo`` is a dict of its own that lives for the
-    run.  At each degree of the window the sweep drops the degrees that no
-    check can still read, then calls each check that has not raised.
-    Returns, check by check, its violations or the exception it raised.
+    A check is a function ``check(shape, table, d)`` that returns the
+    violations of degree d; a once-per-run clause runs at ``table.lo``.  At
+    each degree of the window the sweep drops the degrees that no check can
+    still read, then calls each check that has not raised.  Returns, check
+    by check, its violations or the exception it raised.
     """
-    table = _ClassTable(shape, window[1])
+    table = _ClassTable(shape, *window)
     results = [[] for _ in checks]
-    memos = [{} for _ in checks]
     for d in range(*window):
         table.keep(d)
         for t, check in enumerate(checks):
             if isinstance(results[t], Exception):
                 continue
             try:
-                results[t] += check(shape, table, d, memos[t])
+                results[t] += check(shape, table, d)
             except Exception as exc:  # a crash fails its own check, not the sweep
                 results[t] = exc
     return results
 
 
-def _class_anatomy(shape, table, d, memo):
+def _class_anatomy(shape, table, d):
     """Each class has m + n representatives of its degree, no two alike in
     k or mod mn, and ``reps[0]`` has the least k and is what
     ``orbit.canonical_pair`` gives at every representative: out-edges, table
@@ -269,7 +269,7 @@ def _class_anatomy(shape, table, d, memo):
     return bad
 
 
-def _class_generators(shape, table, d, memo):
+def _class_generators(shape, table, d):
     """Rotation enumeration matches the closure under the four raw moves."""
     bad = []
     for cls in table.classes(d):
@@ -315,7 +315,7 @@ def _scan(shape, reps):
     return found
 
 
-def _action_well_defined(shape, table, d, memo):
+def _action_well_defined(shape, table, d):
     """The scan of a class's representatives sends each root to at most one
     class, and that class is the root's entry in ``out_edges``; a root no
     representative admits has no entry."""
@@ -338,7 +338,7 @@ def _action_well_defined(shape, table, d, memo):
     return bad
 
 
-def _plain_embedding(shape, table, d, memo):
+def _plain_embedding(shape, table, d):
     """At degree d, the representatives (p, k) with mn dividing k hold each
     diagram p with |p| = d mod mn once, and a root that p admits as a box
     move sends the class of (p, k) to that of (moved p, k).
@@ -370,7 +370,7 @@ def _plain_embedding(shape, table, d, memo):
     return bad
 
 
-def _degree_counts(shape, table, d, memo):
+def _degree_counts(shape, table, d):
     bad = []
     mn = shape.n * shape.m
     expect = orbit.classes_per_degree(shape)
@@ -384,7 +384,7 @@ def _degree_counts(shape, table, d, memo):
     return bad
 
 
-def _degree_shift(shape, table, d, memo):
+def _degree_shift(shape, table, d):
     """Raising every rotation number by one maps the classes of degree d onto
     those of degree d + 1, and ``act(c.shifted(1), r)`` equals
     ``act(c, rho(r)).shifted(1)``, undefined matching undefined, where rho
@@ -408,7 +408,7 @@ def _degree_shift(shape, table, d, memo):
     return bad
 
 
-def _approx_parts(shape, table, d, memo):
+def _approx_parts(shape, table, d):
     bad = []
     for cls in table.classes(d):
         parts = orbit.approx_decompose(cls)
@@ -424,7 +424,7 @@ def _approx_parts(shape, table, d, memo):
     return bad
 
 
-def _vss(shape, table, d, memo):
+def _vss(shape, table, d):
     """Refinement classes anchored at multiples of m biject with the classes.
 
     At degree d the row-move chains of the pairs whose rotation number is
@@ -472,44 +472,38 @@ def _vss(shape, table, d, memo):
     return bad
 
 
-def _borel_invariants(shape, table, d, memo):
-    """Node sum dbar, an even positive grey count, r.pair(r) in {2, -2, 0} and
-    the local word.  Gram row t sums to nodes[t].pair(node sum): 0 at dbar."""
+def _borel_invariants(shape, table, d):
+    """Node sum dbar, so Gram row t sums to nodes[t].pair(dbar) = 0, and the
+    deleted node reads back the local pair: a cycle of unit differences, so
+    r.pair(r) is 2, -2 or 0 and the grey count (e/d turns) is even, not 0."""
     bad = []
     one = affine.dbar_root(shape)
     for cls in table.classes(d):
         b = table.borel(cls.canonical)
         if b.dk.node_sum() != one:
             bad.append(f"node sum wrong for {orbit.class_id(cls)}")
-        greys = b.dk.greys
-        if sum(greys) % 2 or not any(greys):
-            bad.append(f"grey count invalid for {orbit.class_id(cls)}")
-        for t, r in enumerate(b.dk.nodes):
-            if r.pair(r) not in (2, -2, 0):
-                bad.append(f"diagonal entry invalid for {orbit.class_id(cls)} node {t}")
-        if affine.dta_words(b.dk)[b.deleted] != b.word():
-            bad.append(f"word extraction disagrees for {orbit.class_id(cls)}")
+        try:
+            read = affine.site_pairs(b.dk)[b.deleted]
+        except affine.NotTypeA as exc:
+            read = exc
+        if read != b.pair:
+            bad.append(f"the deleted node of {orbit.class_id(cls)} reads back {read}")
     return bad
 
 
-def _borel_bijection(shape, table, d, memo):
+def _borel_bijection(shape, table, d):
+    """``affine.class_of_borel`` reads only the cyclic diagram and gives back
+    each class: a left inverse, so the pairing is injective."""
     bad = []
-    seen = memo.setdefault("seen", {})  # sorted nodes -> canonical pair, over the whole window
-    shared = memo.setdefault("shared", {})  # one object per distinct node vector, which keeps ``seen`` small
     for cls in table.classes(d):
-        b = table.borel(cls.canonical)
-        key = tuple(sorted(shared.setdefault(r, r) for r in b.dk.nodes))
-        if key in seen and seen[key] != cls.canonical:
-            bad.append(f"{orbit.class_id(cls)} shares a diagram with {seen[key]}")
-        seen[key] = cls.canonical
-        if affine.class_of_borel(b) != cls:
+        if affine.class_of_borel(table.borel(cls.canonical).dk) != cls:
             bad.append(f"roundtrip fails at {orbit.class_id(cls)}")
     return bad
 
 
-def _borel_equivariance(shape, table, d, memo):
+def _borel_equivariance(shape, table, d):
     """The closed-form pairing starts at the extension of the distinguished
-    shuffle, checked once per run, and agrees with every node move and odd
+    shuffle, checked at ``table.lo``, and agrees with every node move and odd
     reflection out of every anchor in the window.  The class action, read
     from the table's ``out_edges``, and the Borel action, which reads only
     the cyclic diagram, agree on every class and root of the window, so
@@ -526,10 +520,9 @@ def _borel_equivariance(shape, table, d, memo):
     Degree d reads the table's anchors of degrees d - 1..d + 1."""
     bad = []
     borel = table.borel
-    if not memo:  # the first degree of the run
-        memo["zero"] = borel(orbit.AnchoredPair((0,) * shape.n, 0))
-        if memo["zero"] != affine.extend(shape, rect.identity_shuffle(shape)):
-            bad.append("the empty diagram at k = 0 is not the extension of the distinguished shuffle")
+    zero = orbit.AnchoredPair((0,) * shape.n, 0)
+    if d == table.lo and borel(zero) != affine.extend(shape, rect.identity_shuffle(shape)):
+        bad.append("the empty diagram at k = 0 is not the extension of the distinguished shuffle")
     roots = orbit.all_signed_roots(shape)
     edges_of = table.edges(d)
     for cls in table.classes(d):

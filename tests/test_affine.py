@@ -1,5 +1,6 @@
 import pytest
 
+from oddbox import affine
 from oddbox.affine import (
     BorelAtlas,
     CyclicDK,
@@ -19,6 +20,7 @@ from oddbox.affine import (
     global_root_of_pair,
     node_move,
     reflected_pairs,
+    site_pairs,
     words_from_greys,
 )
 from oddbox.orbit import AnchoredPair, UndefinedMorphism, act, all_signed_roots, classes_at_degree, enumerate_class
@@ -28,14 +30,23 @@ from oddbox.rect import (
     RectShape,
     ShapeUnsupported,
     all_diagrams,
+    diagram_of_word,
     identity_shuffle,
     render_shuffle,
     rotate_word,
     shuffle_of_diagram,
+    word_of_diagram,
 )
 from oddbox.reflect import NotEligible
 
-from conftest import CLASS_SHAPES, oracle_borel_at, oracle_borel_search, oracle_scan, oracle_steps
+from conftest import (
+    CLASS_SHAPES,
+    oracle_borel_at,
+    oracle_borel_search,
+    oracle_enumerate_class,
+    oracle_scan,
+    oracle_steps,
+)
 
 S23 = RectShape(2, 3)
 S34 = RectShape(3, 4)
@@ -295,16 +306,64 @@ def test_atlas_base_point():
 
 def test_borel_class_roundtrip():
     cls = enumerate_class(S23, ((3, 1), 0))
-    assert class_of_borel(borel_at(S23, cls.canonical)) == cls
+    assert class_of_borel(borel_at(S23, cls.canonical).dk) == cls
     cls34 = enumerate_class(S34, ((4, 1, 1), 0))
-    assert class_of_borel(borel_at(S34, cls34.canonical)) == cls34
+    assert class_of_borel(borel_at(S34, cls34.canonical).dk) == cls34
 
 
-def test_class_of_borel_rejects_desynced_input():
-    b = extend(S23, identity_shuffle(S23))
-    broken = type(b)(b.dk, b.deleted, AnchoredPair((3, 1), 5))
-    with pytest.raises(ValueError):
-        class_of_borel(broken)
+def test_class_of_borel_rejects_a_diagram_no_shuffle_fits():
+    """A node that is not a difference of two basis vectors, or two adjacent
+    nodes swapped, which breaks the chain of coordinates, reads no class."""
+    nodes = list(borel_at(S34, ((4, 1, 1), 0)).dk.nodes)
+    doubled = nodes[:1] + [nodes[1] + nodes[1]] + nodes[2:]
+    swapped = nodes[:1] + [nodes[2], nodes[1]] + nodes[3:]
+    for broken in (doubled, swapped):
+        with pytest.raises(NotTypeA):
+            class_of_borel(CyclicDK(S34, tuple(broken)))
+        with pytest.raises(NotTypeA):
+            site_pairs(CyclicDK(S34, tuple(broken)))
+
+
+def test_class_of_borel_reads_no_borel_at(monkeypatch):
+    """The decoder reads the node vectors only: with ``borel_at`` gone, a
+    diagram built beforehand still names its class."""
+    cls = enumerate_class(S34, ((4, 1, 1), 5))
+    dk = borel_at(S34, cls.reps[3]).dk
+
+    def gone(shape, pair):
+        raise AssertionError("borel_at called")
+
+    monkeypatch.setattr(affine, "borel_at", gone)
+    assert class_of_borel(dk) == cls
+
+
+def test_site_pairs_sampled_past_the_exhaustive_range():
+    """On big boxes and far rotation numbers, the deleted node reads back the
+    pair the Borel was built for, the sites read its class, and their words
+    are the rotations of its word, which ``dta_words`` gives as well."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def anchors(draw):
+        shape = draw(st.sampled_from([RectShape(5, 8), RectShape(7, 9), RectShape(13, 17)]))
+        word = "".join(draw(st.permutations("r" * shape.m + "d" * shape.n)))
+        return shape, word, draw(st.integers(-10**6, 10**6))
+
+    @settings(deadline=None, max_examples=60)
+    @given(anchors())
+    def check(anchor):
+        shape, word, k = anchor
+        pair = AnchoredPair(diagram_of_word(shape, word), k)
+        b = borel_at(shape, pair)
+        pairs = site_pairs(b.dk)
+        assert pairs[b.deleted] == pair
+        assert set(pairs) == set(oracle_enumerate_class(shape, pair).reps)
+        words = tuple(word_of_diagram(shape, q.diagram) for q in pairs)
+        assert words == dta_words(b.dk)
+        assert all(words[(b.deleted + t) % shape.size] == rotate_word(word, t) for t in range(shape.size))
+
+    check()
 
 
 def test_borel_of_class_matches_global_name_table():
@@ -405,7 +464,7 @@ def test_random_walk_preserves_diagram_invariants():
             greys = b.dk.greys
             assert sum(greys) % 2 == 0 and sum(greys) >= 2
             assert all(r.pair(r) in (2, -2, 0) for r in b.dk.nodes)
-            assert dta_words(b.dk)[b.deleted] == b.word()
+            assert site_pairs(b.dk)[b.deleted] == b.pair
 
     walk()
 
@@ -468,7 +527,7 @@ def test_borel_at_far_from_zero():
         assert not any(gram_row_sums(b.dk))
         greys = sum(b.dk.greys)
         assert greys > 0 and greys % 2 == 0
-        assert dta_words(b.dk)[b.deleted] == b.word()
+        assert site_pairs(b.dk)[b.deleted] == b.pair
         for nb in oracle_steps(b):
             assert nb == borel_at(shape, nb.pair)
         turn = q * shape.m

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -296,3 +297,16 @@ def test_importing_the_cli_loads_no_dataclasses():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout == "False\n"
+
+
+def test_readme_cli_examples_exit_zero(capsys, tmp_path, monkeypatch):
+    """Each ``oddbox`` line of README's CLI block runs and exits 0; they run
+    in a temporary directory because the ``graph`` example writes a file."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("oddbox ")]
+    assert len(examples) == 8
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        assert run(argv) == 0, argv
+    assert (tmp_path / "hasse.dot").read_text().startswith("digraph")

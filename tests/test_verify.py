@@ -143,6 +143,44 @@ def test_borel_equivariance_catches_a_reflection_off_the_node_sum(monkeypatch):
     assert any("equivariance fails" in v for v in bad)
 
 
+def test_borel_bijection_catches_a_borel_a_period_away_from_its_label(monkeypatch):
+    """A ``borel_at`` that builds the Borel of (p, k + mn) under the label
+    (p, k) is a symmetry of the Borel side, so only the decoder sees it:
+    every class reads back as the class a period up."""
+    exact = affine.borel_at
+    shape = RectShape(2, 3)
+
+    def shifted(shape, pair):
+        b = exact(shape, (pair[0], pair[1] + shape.n * shape.m))
+        return affine.FiniteBorel(b.dk, b.deleted, orbit.AnchoredPair(tuple(pair[0]), pair[1]))
+
+    monkeypatch.setattr(affine, "borel_at", shifted)
+    bad = class_check(verify._borel_bijection, shape, (0, 6))
+    assert len(bad) == 12 and all("roundtrip fails" in v for v in bad)
+    results = {r.name: r for r in run_all(shape, 0, 6)}
+    assert not results["borel-bijection"].ok and "12 violation(s)" in results["borel-bijection"].detail
+    assert not results["borel-invariants"].ok
+
+
+def test_borel_bijection_catches_classes_that_share_a_diagram(monkeypatch):
+    """A ``borel_at`` that gives every class of a degree the cyclic diagram
+    of the degree's first class, each under its own label, is not
+    injective, and the roundtrip reports the classes it mislabels."""
+    exact = affine.borel_at
+    shape = RectShape(2, 3)
+
+    def shared(shape, pair):
+        pair = orbit.AnchoredPair(tuple(pair[0]), pair[1])
+        first = orbit.classes_at_degree(shape, pair.degree())[0]
+        return affine.FiniteBorel(exact(shape, first.canonical).dk, exact(shape, pair).deleted, pair)
+
+    monkeypatch.setattr(affine, "borel_at", shared)
+    bad = class_check(verify._borel_bijection, shape, (0, 6))
+    assert len(bad) == 6 and all("roundtrip fails" in v for v in bad)
+    results = {r.name: r for r in run_all(shape, 0, 6)}
+    assert not results["borel-bijection"].ok and "violation(s)" in results["borel-bijection"].detail
+
+
 def test_refinement_checks_catch_a_collapsed_row_class(monkeypatch):
     """A row_class that drops every row move fails both refinement checks."""
 
@@ -260,11 +298,7 @@ FAULTS = {
     "degree-counts": (orbit, "classes_per_degree", lambda exact: lambda shape: exact(shape) + 1),
     "refinement-parts": (orbit, "approx_decompose", _repeat_a_rep),
     "borel-invariants": (affine, "borel_at", _skew_node_one),
-    "borel-bijection": (
-        affine,
-        "class_of_borel",
-        lambda exact: lambda b: orbit.enumerate_class(b.shape, (b.pair.diagram, b.pair.k + 1)),
-    ),
+    "borel-bijection": (affine, "class_of_borel", lambda exact: lambda dk: exact(dk).shifted(1)),
     "borel-equivariance": (affine, "reflected_pairs", lambda exact: lambda b: {t: b.pair for t in exact(b)}),
 }
 
