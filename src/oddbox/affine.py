@@ -1,23 +1,28 @@
 """Symbolic Borel data for the affinization: cyclic diagrams of global roots.
 
-A Borel of the affinization is recorded as a cyclic sequence of m + n
-integer root vectors over the basis e_1..e_n, d_1..d_m, dbar, summing to
-dbar.  The basis pairing is (e_i, e_j) = delta_ij = -(d_i, d_j) with e and
-d orthogonal; dbar is isotropic and orthogonal to everything, the standard
-affine convention, which is exactly what makes all row sums of the full
-cyclic Gram matrix vanish.  Grey nodes are the isotropic ones.
+A Borel of the affinization is recorded as a cyclic sequence of m + n real
+roots e_x - e_y + c*dbar over the basis e_1..e_n, d_1..d_m, dbar, summing to
+dbar.  A node stores the basis labels of x and y (a for e_a, -b for d_b)
+and c; ``CyclicDK`` refuses a sequence whose labels do not chain, each
+node's y being the next node's x, through every basis vector once, so the
+finite parts telescope to 0 and the node sum is dbar exactly when the c's
+sum to 1.  The basis pairing is (e_i, e_j) = delta_ij = -(d_i, d_j) with e
+and d orthogonal; dbar is isotropic and orthogonal to everything, the
+standard affine convention, which is exactly what makes all row sums of
+the full cyclic Gram matrix vanish.  Grey nodes are the isotropic ones,
+which pair an e with a d.
 
 A finite Borel inside the affinization is the same cyclic diagram plus a
-deleted node: the other m + n - 1 node vectors, read cyclically starting
+deleted node: the other m + n - 1 nodes, read cyclically starting
 after the deleted node, are the global names of its simple roots, while
 the attached anchored pair (diagram, k) gives their local names, the
 consecutive differences of the diagram's shuffle.  Moving the deletion
 site one step corresponds to a row/column move on the local pair ("+r" and
 "-c" step forward, "-r" and "+c" step back) and never changes the cyclic
-diagram; reflecting at a grey node negates its vector, adds it to both
+diagram; reflecting at a grey node negates it, adds it to both
 cyclic neighbours, and moves the local diagram by the box under the node
 at a fixed k.  The morphism s(e_i - d_j) acts on the cyclic
-diagram alone: it reflects at the node whose e and d coefficients are
+diagram alone: it reflects at the node whose labels are those of
 s(e_i - d_j), and is undefined when no node has them (``borel_act``).
 
 The Borel paired with an anchored pair (diagram, k) has a closed form.
@@ -33,15 +38,14 @@ node straight from the two shuffle symbols under it, without ``extend``.
 Raising k by mn lowers c by one, so it rotates the positions by m and raises
 each dbar coefficient by the sum of the node's e coefficients.
 The formula is checked, not assumed, and decoded as well as computed:
-``site_pairs`` reads each deletion site's anchored pair back from the node
-vectors alone.  ``verify`` compares the formula with ``extend`` at the empty
+``site_pair`` reads a deletion site's anchored pair back from the labels
+alone.  ``verify`` compares the formula with ``extend`` at the empty
 diagram and k = 0, with every node move and odd reflection out of every
 anchor in its window and with the decoder, and the tests compare it with a
 breadth-first search over those moves and reflections from the extension of
 the distinguished shuffle, and with rotating ``extend`` node by node.
 """
 
-from operator import add, mul, neg, sub
 from typing import NamedTuple
 
 from .rect import (
@@ -60,7 +64,7 @@ from .rect import (
     shuffle_of_diagram,
     solve_rotation,
 )
-from .reflect import diagram_edge, pair_root, root_pair, simple_roots, t_apply
+from .reflect import diagram_edge, pair_root, t_apply
 from .orbit import (
     AnchoredPair,
     OrbitClass,
@@ -84,43 +88,26 @@ class NotTypeA(DomainError):
 
 
 class GlobalRoot(NamedTuple):
-    """An integer vector over the basis e_1..e_n, d_1..d_m, dbar."""
+    """The real root e_up - e_down + c*dbar of the affinization, c = ``dbar``.
 
-    eps: tuple[int, ...]
-    dels: tuple[int, ...]
+    A basis label is a for e_a (1 <= a <= n) and -b for d_b (1 <= b <= m).
+    The root is isotropic, a grey node, exactly when it pairs an e with a d.
+    """
+
+    up: int
+    down: int
     dbar: int
-
-    def __add__(self, other: "GlobalRoot") -> "GlobalRoot":
-        return GlobalRoot(
-            tuple(map(add, self.eps, other.eps)),
-            tuple(map(add, self.dels, other.dels)),
-            self.dbar + other.dbar,
-        )
-
-    def __neg__(self) -> "GlobalRoot":
-        return GlobalRoot(tuple(map(neg, self.eps)), tuple(map(neg, self.dels)), -self.dbar)
-
-    def __sub__(self, other: "GlobalRoot") -> "GlobalRoot":
-        return GlobalRoot(
-            tuple(map(sub, self.eps, other.eps)),
-            tuple(map(sub, self.dels, other.dels)),
-            self.dbar - other.dbar,
-        )
-
-    def pair(self, other: "GlobalRoot") -> int:
-        """The bilinear form; dbar contributes nothing."""
-        return sum(map(mul, self.eps, other.eps)) - sum(map(mul, self.dels, other.dels))
 
     @property
     def isotropic(self) -> bool:
-        return self.pair(self) == 0
+        return (self.up > 0) != (self.down > 0)
 
     def render(self) -> str:
-        terms: list[tuple[int, str]] = []
-        if self.dbar:
-            terms.append((self.dbar, "dbar"))
-        terms.extend((c, f"d{j}") for j, c in enumerate(self.dels, 1) if c)
-        terms.extend((c, f"e{i}") for i, c in enumerate(self.eps, 1) if c)
+        """dbar first, then the d terms, then the e terms, each by index."""
+        terms = [(self.dbar, "dbar")] if self.dbar else []
+        if self.up != self.down:
+            ends = sorted([(self.up, 1), (self.down, -1)], key=lambda end: (end[0] > 0, abs(end[0])))
+            terms.extend((c, f"e{a}" if a > 0 else f"d{-a}") for a, c in ends)
         if not terms:
             return "0"
         out = []
@@ -133,35 +120,17 @@ class GlobalRoot(NamedTuple):
         return "".join(out)
 
 
-def basis_root(shape: RectShape, a: int) -> GlobalRoot:
-    """e_a for a in 1..n, d_{a-n} for a in n+1..n+m."""
-    eps = [0] * shape.n
-    dels = [0] * shape.m
-    if a <= shape.n:
-        eps[a - 1] = 1
-    else:
-        dels[a - shape.n - 1] = 1
-    return GlobalRoot(tuple(eps), tuple(dels), 0)
-
-
-def global_root_of_pair(shape: RectShape, pair: tuple[int, int]) -> GlobalRoot:
-    return basis_root(shape, pair[0]) - basis_root(shape, pair[1])
-
-
-def dbar_root(shape: RectShape) -> GlobalRoot:
-    return GlobalRoot((0,) * shape.n, (0,) * shape.m, 1)
-
-
 class _Cycle(NamedTuple):
     shape: RectShape
     nodes: tuple[GlobalRoot, ...]
 
 
 class CyclicDK(_Cycle):
-    """A cyclic arrangement of m + n global roots; grey nodes are isotropic.
-
-    Valid diagrams have node sum dbar and an even positive number of grey
-    nodes; row t of the Gram matrix then sums to ``nodes[t].pair(dbar)`` = 0.
+    """A cyclic arrangement of m + n global roots that chain through the basis:
+    the up labels cover every basis vector once, and the down label of each
+    node is the up label of the next.  The finite parts then telescope to 0;
+    valid diagrams have node sum dbar, so their dbar coefficients sum to 1, and
+    an even positive number of grey (isotropic) nodes.
     """
 
     __slots__ = ()
@@ -169,6 +138,11 @@ class CyclicDK(_Cycle):
     def __new__(cls, shape: RectShape, nodes: tuple[GlobalRoot, ...]):
         if len(nodes) != shape.size:
             raise ValueError(f"expected {shape.size} nodes, got {len(nodes)}")
+        ups = [r.up for r in nodes]
+        if set(ups) != {*range(-shape.m, 0), *range(1, shape.n + 1)} or any(
+            r.down != up for r, up in zip(nodes, ups[1:] + ups[:1])
+        ):
+            raise NotTypeA("the nodes do not chain through every basis vector once")
         return tuple.__new__(cls, (shape, nodes))
 
     @property
@@ -179,31 +153,30 @@ class CyclicDK(_Cycle):
     def greys(self) -> tuple[bool, ...]:
         return tuple(r.isotropic for r in self.nodes)
 
-    def node_sum(self) -> GlobalRoot:
-        nodes = self.nodes
-        return GlobalRoot(
-            tuple(map(sum, zip(*(r.eps for r in nodes)))),
-            tuple(map(sum, zip(*(r.dels for r in nodes)))),
-            sum(r.dbar for r in nodes),
-        )
+    def node_sum(self) -> int:
+        """The dbar coefficient of the node sum; the finite parts cancel."""
+        return sum(r.dbar for r in self.nodes)
 
     def reflect(self, node: int) -> "CyclicDK":
-        """Negate a grey node's vector and add it to both cyclic neighbours,
-        which keeps the node sum at dbar."""
+        """Negate a grey node and add it to both cyclic neighbours, which
+        keeps the node sum: the node swaps its labels and negates its dbar,
+        the previous node takes its down label and the next its up label,
+        and both take its dbar."""
         gamma = self.nodes[node]
         if not gamma.isotropic:
             raise NotIsotropic(f"node {node} ({gamma.render()}) is not isotropic")
         nodes = list(self.nodes)
-        nodes[node] = -gamma
-        for t in (node - 1, node + 1):
-            nodes[t % self.size] = nodes[t % self.size] + gamma
+        prev, succ = (node - 1) % self.size, (node + 1) % self.size
+        nodes[node] = GlobalRoot(gamma.down, gamma.up, -gamma.dbar)
+        nodes[prev] = nodes[prev]._replace(down=gamma.down, dbar=nodes[prev].dbar + gamma.dbar)
+        nodes[succ] = nodes[succ]._replace(up=gamma.up, dbar=nodes[succ].dbar + gamma.dbar)
         return CyclicDK(self.shape, tuple(nodes))
 
 
 class FiniteBorel(NamedTuple):
     """A finite Borel of one copy inside the affinization.
 
-    The node vectors other than ``nodes[deleted]`` are, read cyclically
+    The nodes other than ``nodes[deleted]`` are, read cyclically
     starting after the deleted node, the global names of the simple roots
     of the Borel locally named by ``pair``: the consecutive differences of
     the shuffle of ``pair.diagram``, at rotation number ``pair.k``.  The
@@ -236,10 +209,9 @@ def extend(shape: RectShape, shuf: Shuffle) -> FiniteBorel:
     if shape.n == shape.m:
         raise ShapeUnsupported(f"extension needs n != m, got {shape.n}x{shape.m}")
     check_shuffle(shape, shuf)
-    finite = tuple(global_root_of_pair(shape, p) for p in simple_roots(shape, shuf))
-    theta = global_root_of_pair(shape, (shuf[0], shuf[-1]))
-    alpha0 = dbar_root(shape) - theta
-    dk = CyclicDK(shape, (alpha0,) + finite)
+    labels = [a if a <= shape.n else shape.n - a for a in shuf]  # d_b is symbol n + b, label -b
+    nodes = (GlobalRoot(labels[t - 1], labels[t], int(t == 0)) for t in range(shape.size))
+    dk = CyclicDK(shape, tuple(nodes))
     return FiniteBorel(dk, 0, AnchoredPair(diagram_of_shuffle(shape, shuf), 0))
 
 
@@ -290,14 +262,13 @@ def affine_reflect(b: FiniteBorel, node: int) -> FiniteBorel:
 
 
 def borel_act(dk: CyclicDK, root: OddRoot) -> CyclicDK:
-    """Reflect at the node whose finite part (eps, dels) is s(e_i - d_j).
-
-    That node is grey, because dbar does not enter the form.
+    """Reflect at the node whose finite part is s(e_i - d_j): labels (i, -j)
+    for s = +, (-j, i) for s = -.  That node is grey.
     """
     check_root(dk.shape, root)
-    want = global_root_of_pair(dk.shape, root_pair(dk.shape, root))
+    want = (root.i, -root.j) if root.sign > 0 else (-root.j, root.i)
     for node, r in enumerate(dk.nodes):
-        if r.eps == want.eps and r.dels == want.dels:
+        if (r.up, r.down) == want:
             return dk.reflect(node)
     raise UndefinedMorphism(f"{render_root(root)} undefined on this Borel")
 
@@ -355,21 +326,18 @@ def borel_at(shape: RectShape, pair) -> FiniteBorel:
     i, j = solve_rotation(shape, k)
     c = (i * n + j * m - k) // (n * m)
     shuf = shuffle_of_diagram(shape, parts)
-    # per shuffle symbol (a for e_a, n + b for d_b): its coordinate after the
-    # rotation and what it takes off the dbar coefficient
-    where, lift = [0] * (size + 1), [0] * (size + 1)
+    # per shuffle symbol (a for e_a, n + b for d_b): its basis label after
+    # the rotation and what it takes off the dbar coefficient
+    label, lift = [0] * (size + 1), [0] * (size + 1)
     for a in range(1, n + 1):
-        where[a], lift[a] = (a - 1 - j) % n, c - (a <= j)
+        label[a], lift[a] = (a - 1 - j) % n + 1, c - (a <= j)
     for b in range(1, m + 1):
-        where[n + b], lift[n + b] = n + (b - 1 + i) % m, int(b > m - i)
+        label[n + b], lift[n + b] = -((b - 1 + i) % m + 1), int(b > m - i)
     deleted = (i - j - c * m) % size
     nodes = [None] * size
     for t in range(size):
         up, down = shuf[t - 1], shuf[t]
-        vec = [0] * size
-        vec[where[up]], vec[where[down]] = 1, -1
-        dbar = (t == 0) - lift[up] + lift[down]
-        nodes[(deleted + t) % size] = GlobalRoot(tuple(vec[:n]), tuple(vec[n:]), dbar)
+        nodes[(deleted + t) % size] = GlobalRoot(label[up], label[down], (t == 0) - lift[up] + lift[down])
     return FiniteBorel(CyclicDK(shape, tuple(nodes)), deleted, AnchoredPair(parts, k))
 
 
@@ -385,40 +353,35 @@ class BorelAtlas:
         return borel_at(cls.shape, cls.canonical)
 
 
+def site_pair(dk: CyclicDK, site: int) -> AnchoredPair:
+    """The anchored pair whose Borel deletes node ``site``, read from the
+    labels alone.  After the site, the nodes' up labels are the rotated
+    shuffle symbols, so they spell the border word (``d`` for an e label,
+    ``r`` for a d label), and the running sum of their dbar coefficients
+    gives each symbol's lift: the first e and the first d give j and i, and
+    the lift is 0 at d_1 and c - [j > 0] at e_1."""
+    require_class_shape(dk.shape)
+    n, m, size = dk.shape.n, dk.shape.m, dk.size
+    after = [dk.nodes[(site + 1 + t) % size] for t in range(size)]
+    lift, first = 0, {}  # running dbar sum; is-e -> (up label, lift) of the first such symbol
+    for r in after:
+        first.setdefault(r.up > 0, (r.up, lift))
+        lift += r.dbar
+    (a, e_lift), (b, d_lift) = first[True], first[False]
+    i, j = -b - 1, (1 - a) % n
+    k = i * n + j * m - (e_lift - d_lift + (j > 0)) * n * m
+    word = "".join("d" if r.up > 0 else "r" for r in after)
+    return AnchoredPair(diagram_of_word(dk.shape, word), k)
+
+
 def site_pairs(dk: CyclicDK) -> tuple[AnchoredPair, ...]:
-    """Entry s is the anchored pair whose Borel deletes node s, read from the
-    node vectors alone.  After the site, the nodes' +1 coordinates are the
-    rotated shuffle symbols and the running sum of their dbar coefficients
-    gives each symbol's lift: the first e and the first d give j and i, the
-    lift is 0 at d_1 and c - [j > 0] at e_1, and the diagram is that of the
-    site's word in ``dta_words``.  Raises ``NotTypeA`` unless each node is a
-    difference of two basis vectors plus a multiple of dbar and the nodes
-    chain (-1 coordinate to next +1) through every basis vector once.
+    """Entry s is ``site_pair(dk, s)``, the anchored pair that deletes node s.
 
     >>> b = borel_at(RectShape(2, 3), ((1, 0), 4))
     >>> b.deleted, site_pairs(b.dk)[b.deleted]
     (2, AnchoredPair(diagram=(1, 0), k=4))
     """
-    require_class_shape(dk.shape)
-    n, m, size = dk.shape.n, dk.shape.m, dk.size
-    vecs, unit = [r.eps + r.dels for r in dk.nodes], [-1] + [0] * (size - 2) + [1]
-    for t, vec in enumerate(vecs):
-        if sorted(vec) != unit:
-            raise NotTypeA(f"node {t} ({dk.nodes[t].render()}) is not a difference of two basis vectors")
-    plus = [vec.index(1) for vec in vecs]
-    if sorted(plus) != list(range(size)) or any(vecs[t - 1][plus[t]] != -1 for t in range(size)):
-        raise NotTypeA("the nodes do not chain through every basis vector once")
-    words, out = dta_words(dk), []
-    for s in range(size):
-        lift, first = 0, {}  # running dbar sum; is-e -> (coordinate, lift) of the first such symbol
-        for t in range(s + 1, s + size + 1):
-            first.setdefault(plus[t % size] < n, (plus[t % size], lift))
-            lift += dk.nodes[t % size].dbar
-        (a, e_lift), (b, d_lift) = first[True], first[False]
-        j = -a % n
-        k = (b - n) * n + j * m - (e_lift - d_lift + (j > 0)) * n * m
-        out.append(AnchoredPair(diagram_of_word(dk.shape, words[s]), k))
-    return tuple(out)
+    return tuple(site_pair(dk, s) for s in range(dk.size))
 
 
 def class_of_borel(dk: CyclicDK) -> OrbitClass:

@@ -473,17 +473,18 @@ def _vss(shape, table, d):
 
 
 def _borel_invariants(shape, table, d):
-    """Node sum dbar, so Gram row t sums to nodes[t].pair(dbar) = 0, and the
-    deleted node reads back the local pair: a cycle of unit differences, so
-    r.pair(r) is 2, -2 or 0 and the grey count (e/d turns) is even, not 0."""
+    """Node sum dbar, so Gram row t sums to (nodes[t], dbar) = 0, and the
+    deleted node reads back the local pair.  A ``CyclicDK`` is a chain of
+    unit differences through the basis, so the finite parts sum to 0, each
+    node pairs with itself to 2, -2 or 0, and the grey count (e/d turns) is
+    even, not 0; the node sum is dbar when the dbar coefficients sum to 1."""
     bad = []
-    one = affine.dbar_root(shape)
     for cls in table.classes(d):
         b = table.borel(cls.canonical)
-        if b.dk.node_sum() != one:
+        if b.dk.node_sum() != 1:
             bad.append(f"node sum wrong for {orbit.class_id(cls)}")
         try:
-            read = affine.site_pairs(b.dk)[b.deleted]
+            read = affine.site_pair(b.dk, b.deleted)
         except affine.NotTypeA as exc:
             read = exc
         if read != b.pair:

@@ -2,7 +2,7 @@
 
 from collections import deque
 
-from oddbox.affine import CyclicDK, FiniteBorel, GlobalRoot, affine_reflect, extend, node_move
+from oddbox.affine import affine_reflect, extend, node_move
 from oddbox.orbit import (
     AnchoredPair,
     MorphismGraph,
@@ -245,8 +245,26 @@ def oracle_classes_at_degree(shape, d):
     return tuple(classes[c] for c in sorted(classes))
 
 
+def dense(shape, r):
+    """A node's coefficients (eps, dels, dbar) over e_1..e_n, d_1..d_m and dbar."""
+    eps, dels = [0] * shape.n, [0] * shape.m
+    for label, c in ((r.up, 1), (r.down, -1)):
+        if label > 0:
+            eps[label - 1] += c
+        else:
+            dels[-label - 1] += c
+    return tuple(eps), tuple(dels), r.dbar
+
+
+def dense_borel(b):
+    """A Borel as (dense nodes, deleted node, local pair), the form of
+    ``oracle_borel_at``."""
+    return tuple(dense(b.shape, r) for r in b.dk.nodes), b.deleted, b.pair
+
+
 def oracle_borel_at(shape, pair):
-    """The Borel of a pair by extending its shuffle and rotating every node.
+    """The Borel of a pair by extending its shuffle and rotating every node,
+    as ``dense_borel`` gives it.
 
     With k = i*n + j*m - c*mn, each node of the extension has its e
     coefficients rotated j steps down, its d coefficients i steps up, and
@@ -262,8 +280,7 @@ def oracle_borel_at(shape, pair):
     deleted = (i - j - c * m) % shape.size
     nodes = [None] * shape.size
     for t, r in enumerate(base.dk.nodes):
-        shift = c * sum(r.eps) - sum(r.eps[:j]) + sum(r.dels[m - i:])
-        nodes[(deleted + t) % shape.size] = GlobalRoot(
-            r.eps[j:] + r.eps[:j], r.dels[m - i:] + r.dels[:m - i], r.dbar - shift
-        )
-    return FiniteBorel(CyclicDK(shape, tuple(nodes)), deleted, AnchoredPair(parts, k))
+        eps, dels, dbar = dense(shape, r)
+        shift = c * sum(eps) - sum(eps[:j]) + sum(dels[m - i:])
+        nodes[(deleted + t) % shape.size] = (eps[j:] + eps[:j], dels[m - i:] + dels[:m - i], dbar - shift)
+    return tuple(nodes), deleted, AnchoredPair(parts, k)

@@ -1,3 +1,6 @@
+from itertools import permutations
+from operator import add, mul, neg
+
 import pytest
 
 from oddbox import affine
@@ -9,15 +12,12 @@ from oddbox.affine import (
     NotIsotropic,
     NotTypeA,
     affine_reflect,
-    basis_root,
     borel_act,
     borel_at,
     borel_json,
     class_of_borel,
-    dbar_root,
     dta_words,
     extend,
-    global_root_of_pair,
     node_move,
     reflected_pairs,
     site_pairs,
@@ -41,6 +41,8 @@ from oddbox.reflect import NotEligible
 
 from conftest import (
     CLASS_SHAPES,
+    dense,
+    dense_borel,
     oracle_borel_at,
     oracle_borel_search,
     oracle_enumerate_class,
@@ -53,7 +55,7 @@ S34 = RectShape(3, 4)
 
 
 def vec(shape, **coeffs):
-    """Global root from keyword coefficients like e1=1, d2=-1, dbar=1."""
+    """Dense coefficients (eps, dels, dbar) from keywords like e1=1, d2=-1, dbar=1."""
     eps = [0] * shape.n
     dels = [0] * shape.m
     dbar = coeffs.pop("dbar", 0)
@@ -63,64 +65,91 @@ def vec(shape, **coeffs):
             eps[index] = value
         else:
             dels[index] = value
-    return GlobalRoot(tuple(eps), tuple(dels), dbar)
+    return tuple(eps), tuple(dels), dbar
+
+
+def form(x, y):
+    """The bilinear form on dense coefficients; dbar contributes nothing."""
+    return sum(map(mul, x[0], y[0])) - sum(map(mul, x[1], y[1]))
 
 
 def simple_gram(b):
     """The Gram matrix of a finite Borel's simple roots, in local order."""
-    roots = b.simple_global()
-    return [[x.pair(y) for y in roots] for x in roots]
+    roots = [dense(b.shape, r) for r in b.simple_global()]
+    return [[form(x, y) for y in roots] for x in roots]
 
 
 def gram_row_sums(dk):
     """The row sums of the full cyclic Gram matrix, pair by pair."""
-    return [sum(r.pair(s) for s in dk.nodes) for r in dk.nodes]
+    roots = [dense(dk.shape, r) for r in dk.nodes]
+    return [sum(form(r, s) for s in roots) for r in roots]
 
 
-def test_global_root_arithmetic_and_form():
-    a = vec(S23, e1=1, d2=-1)
-    b = vec(S23, e1=1, e2=-1)
-    assert (a + b) == vec(S23, e1=2, e2=-1, d2=-1)
-    assert -a == vec(S23, e1=-1, d2=1)
-    assert b.pair(b) == 2
-    assert a.pair(a) == 0 and a.isotropic
-    assert vec(S23, d1=1, d2=-1).pair(vec(S23, d1=1, d2=-1)) == -2
-    assert dbar_root(S23).pair(a) == 0 and dbar_root(S23).isotropic
+def node_sum_is_dbar(dk):
+    """``node_sum`` reads 1, and the dense node sum is dbar."""
+    eps, dels, dbar = zip(*(dense(dk.shape, r) for r in dk.nodes))
+    total = tuple(map(sum, zip(*eps))), tuple(map(sum, zip(*dels))), sum(dbar)
+    return dk.node_sum() == 1 and total == vec(dk.shape, dbar=1)
+
+
+def test_global_root_isotropic_is_the_form():
+    """A node is grey exactly when its dense form value is 0; every root
+    e_x - e_y + c dbar pairs with itself to 2, -2 or 0."""
+    for up, down in permutations([1, 2, -1, -2, -3], 2):
+        for c in (-2, 0, 1):
+            r = GlobalRoot(up, down, c)
+            value = form(dense(S23, r), dense(S23, r))
+            assert value in (2, -2, 0) and r.isotropic == (value == 0)
+    assert GlobalRoot(1, -2, 0).isotropic and GlobalRoot(-3, 2, 5).isotropic
+    assert not GlobalRoot(1, 2, 0).isotropic and not GlobalRoot(-1, -2, 1).isotropic
 
 
 def test_value_types_of_the_affinization():
     with pytest.raises(ValueError, match="expected 5 nodes, got 4"):
-        CyclicDK(S23, (vec(S23, e1=1),) * 4)
-    a, b = vec(S23, e1=1, d2=-1), vec(S23, dbar=-1, e2=1)
+        CyclicDK(S23, (GlobalRoot(1, -1, 0),) * 4)
+    a, b = GlobalRoot(1, -2, 0), GlobalRoot(2, 1, -1)
     with pytest.raises(AttributeError):
         a.dbar = 1
-    assert sorted([a, b]) == sorted([a, b], key=lambda r: (r.eps, r.dels, r.dbar))
-    assert repr(a) == "GlobalRoot(eps=(1, 0), dels=(0, -1, 0), dbar=0)"
+    assert sorted([a, b]) == sorted([a, b], key=lambda r: (r.up, r.down, r.dbar))
+    assert repr(a) == "GlobalRoot(up=1, down=-2, dbar=0)"
+
+
+def test_cyclic_dk_refuses_a_broken_chain():
+    """The nodes must chain, each down label the next up label, through
+    every basis vector once: two adjacent nodes swapped break the chain,
+    and a chain that repeats an up label misses a basis vector."""
+    nodes = list(borel_at(S34, ((4, 1, 1), 0)).dk.nodes)
+    with pytest.raises(NotTypeA, match="chain"):
+        CyclicDK(S34, tuple(nodes[:1] + [nodes[2], nodes[1]] + nodes[3:]))
+
+    def chain(ups):
+        return tuple(GlobalRoot(up, ups[(t + 1) % len(ups)], int(t == 0)) for t, up in enumerate(ups))
+
+    assert CyclicDK(S23, chain([1, -1, 2, -2, -3])).node_sum() == 1
+    with pytest.raises(NotTypeA, match="chain"):
+        CyclicDK(S23, chain([1, -1, 1, -2, -3]))  # repeats e1, misses e2
 
 
 def test_global_root_render():
-    assert vec(S34, dbar=1, d1=-1, e3=1).render() == "dbar - d1 + e3"
-    assert vec(S34, dbar=-1, d1=1, e3=-1).render() == "-dbar + d1 - e3"
-    assert vec(S23, e1=1, e2=-1).render() == "e1 - e2"
-    assert vec(S23, e2=1, d2=-1).render() == "-d2 + e2"
-    assert GlobalRoot((0, 0), (0, 0, 0), 0).render() == "0"
-
-
-def test_basis_and_pair_roots():
-    assert basis_root(S23, 1) == vec(S23, e1=1)
-    assert basis_root(S23, 4) == vec(S23, d2=1)
-    assert global_root_of_pair(S23, (2, 3)) == vec(S23, e2=1, d1=-1)
+    assert GlobalRoot(3, -1, 1).render() == "dbar - d1 + e3"
+    assert GlobalRoot(-1, 3, -1).render() == "-dbar + d1 - e3"
+    assert GlobalRoot(1, 2, 0).render() == "e1 - e2"
+    assert GlobalRoot(2, -2, 0).render() == "-d2 + e2"
+    assert GlobalRoot(-4, -1, 1).render() == "dbar - d1 + d4"
+    assert GlobalRoot(2, -1, 3).render() == "3dbar - d1 + e2"
+    assert GlobalRoot(-1, 1, -2).render() == "-2dbar + d1 - e1"
+    assert GlobalRoot(1, 1, 0).render() == "0"
 
 
 def test_extend_examples():
     hook = extend(S34, shuffle_of_diagram(S34, (4, 1, 1)))
-    assert hook.dk.nodes[0] == vec(S34, dbar=1, d1=-1, e3=1)
+    assert dense(S34, hook.dk.nodes[0]) == vec(S34, dbar=1, d1=-1, e3=1)
     assert hook.deleted == 0 and hook.pair.k == 0
-    assert hook.dk.node_sum() == dbar_root(S34)
+    assert node_sum_is_dbar(hook.dk)
 
     distinguished = extend(S23, identity_shuffle(S23))
-    assert distinguished.dk.nodes[0] == vec(S23, dbar=1, e1=-1, d3=1)
-    assert distinguished.dk.node_sum() == dbar_root(S23)
+    assert dense(S23, distinguished.dk.nodes[0]) == vec(S23, dbar=1, e1=-1, d3=1)
+    assert node_sum_is_dbar(distinguished.dk)
     assert [g for g in distinguished.dk.greys] == [True, False, True, False, False]
 
 
@@ -161,7 +190,7 @@ def test_node_move_and_reflection_reproduce_global_name_table():
     assert b3.pair == ((0, 0, 0), 7)
     assert b3.deleted == 0
     for b in (b0, b1, b2, b3):
-        assert b.dk.node_sum() == dbar_root(S34)
+        assert node_sum_is_dbar(b.dk)
 
 
 def test_node_move_directions_and_inverses():
@@ -224,7 +253,7 @@ def test_reflected_pairs_cover_the_grey_undeleted_nodes():
 
 def test_affine_reflect_preserves_invariants():
     b = affine_reflect(node_move(extend(S34, shuffle_of_diagram(S34, (4, 1, 1))), "-r"), 0)
-    assert b.dk.node_sum() == dbar_root(S34)
+    assert node_sum_is_dbar(b.dk)
     assert gram_row_sums(b.dk) == [0] * 7
     greys = b.dk.greys
     assert sum(greys) % 2 == 0 and sum(greys) > 0
@@ -239,9 +268,9 @@ def test_gram_of_distinguished_shape():
         [0, 1, -2, 1],
         [0, 0, 1, -2],
     ]
-    assert b.dk.node_sum() == dbar_root(S23)
+    assert node_sum_is_dbar(b.dk)
     assert gram_row_sums(b.dk) == [0] * 5
-    assert [r.pair(r) for r in b.dk.nodes] == [0, 2, 0, -2, -2]
+    assert [form(dense(S23, r), dense(S23, r)) for r in b.dk.nodes] == [0, 2, 0, -2, -2]
 
 
 def test_second_affinization_example():
@@ -312,16 +341,17 @@ def test_borel_class_roundtrip():
 
 
 def test_class_of_borel_rejects_a_diagram_no_shuffle_fits():
-    """A node that is not a difference of two basis vectors, or two adjacent
-    nodes swapped, which breaks the chain of coordinates, reads no class."""
+    """Two adjacent nodes swapped break the chain of labels, so no
+    ``CyclicDK`` holds them; a chain whose node sum is off dbar, one dbar
+    coefficient moved, reads no class."""
     nodes = list(borel_at(S34, ((4, 1, 1), 0)).dk.nodes)
-    doubled = nodes[:1] + [nodes[1] + nodes[1]] + nodes[2:]
-    swapped = nodes[:1] + [nodes[2], nodes[1]] + nodes[3:]
-    for broken in (doubled, swapped):
-        with pytest.raises(NotTypeA):
-            class_of_borel(CyclicDK(S34, tuple(broken)))
-        with pytest.raises(NotTypeA):
-            site_pairs(CyclicDK(S34, tuple(broken)))
+    with pytest.raises(NotTypeA):
+        CyclicDK(S34, tuple(nodes[:1] + [nodes[2], nodes[1]] + nodes[3:]))
+    for t in range(len(nodes)):
+        for shift in (1, -1):
+            skewed = nodes[:t] + [nodes[t]._replace(dbar=nodes[t].dbar + shift)] + nodes[t + 1:]
+            with pytest.raises(NotTypeA):
+                class_of_borel(CyclicDK(S34, tuple(skewed)))
 
 
 def test_class_of_borel_reads_no_borel_at(monkeypatch):
@@ -337,11 +367,9 @@ def test_class_of_borel_reads_no_borel_at(monkeypatch):
     assert class_of_borel(dk) == cls
 
 
-def test_site_pairs_sampled_past_the_exhaustive_range():
-    """On big boxes and far rotation numbers, the deleted node reads back the
-    pair the Borel was built for, the sites read its class, and their words
-    are the rotations of its word, which ``dta_words`` gives as well."""
-    from hypothesis import given, settings
+def big_anchors():
+    """A hypothesis strategy of (shape, word, k) on 5x8, 7x9 and 13x17 with a
+    random border word and |k| <= 10^6."""
     from hypothesis import strategies as st
 
     @st.composite
@@ -350,8 +378,18 @@ def test_site_pairs_sampled_past_the_exhaustive_range():
         word = "".join(draw(st.permutations("r" * shape.m + "d" * shape.n)))
         return shape, word, draw(st.integers(-10**6, 10**6))
 
+    return anchors()
+
+
+def test_site_pairs_sampled_past_the_exhaustive_range():
+    """On big boxes and far rotation numbers, the deleted node reads back the
+    pair the Borel was built for, the sites read its class, and their words
+    are the rotations of its word.  ``dta_words``, an independent reader of
+    the grey pattern, gives the same words."""
+    from hypothesis import given, settings
+
     @settings(deadline=None, max_examples=60)
-    @given(anchors())
+    @given(big_anchors())
     def check(anchor):
         shape, word, k = anchor
         pair = AnchoredPair(diagram_of_word(shape, word), k)
@@ -362,6 +400,36 @@ def test_site_pairs_sampled_past_the_exhaustive_range():
         words = tuple(word_of_diagram(shape, q.diagram) for q in pairs)
         assert words == dta_words(b.dk)
         assert all(words[(b.deleted + t) % shape.size] == rotate_word(word, t) for t in range(shape.size))
+
+    check()
+
+
+def test_label_form_is_the_vector_form_past_the_exhaustive_range():
+    """On big boxes and far rotation numbers, ``borel_at`` expands to the
+    rotated extension, and reflecting at each grey node by swapping labels
+    and passing them on expands to the vector reflection: negate the node
+    and add it to both cyclic neighbours."""
+    from hypothesis import given, settings
+
+    @settings(deadline=None, max_examples=40)
+    @given(big_anchors())
+    def check(anchor):
+        shape, word, k = anchor
+        pair = AnchoredPair(diagram_of_word(shape, word), k)
+        b = borel_at(shape, pair)
+        assert dense_borel(b) == oracle_borel_at(shape, pair)
+
+        def flat(dk):
+            return [eps + dels + (dbar,) for eps, dels, dbar in (dense(shape, r) for r in dk.nodes)]
+
+        vecs = flat(b.dk)
+        for t, grey in enumerate(b.dk.greys):
+            if grey:
+                want = list(vecs)
+                want[t] = tuple(map(neg, vecs[t]))
+                for s in (t - 1, (t + 1) % shape.size):
+                    want[s] = tuple(map(add, want[s], vecs[t]))
+                assert flat(b.dk.reflect(t)) == want
 
     check()
 
@@ -454,16 +522,15 @@ def test_random_walk_preserves_diagram_invariants():
         st.lists(st.integers(0, 10**6), max_size=25),
     )
     def walk(shape, choices):
-        one = dbar_root(shape)
         b = extend(shape, identity_shuffle(shape))
         for pick in choices:
             moves = oracle_steps(b)
             b = moves[pick % len(moves)]
-            assert b.dk.node_sum() == one
+            assert node_sum_is_dbar(b.dk)
             assert not any(gram_row_sums(b.dk))
             greys = b.dk.greys
             assert sum(greys) % 2 == 0 and sum(greys) >= 2
-            assert all(r.pair(r) in (2, -2, 0) for r in b.dk.nodes)
+            assert all(form(dense(shape, r), dense(shape, r)) in (2, -2, 0) for r in b.dk.nodes)
             assert site_pairs(b.dk)[b.deleted] == b.pair
 
     walk()
@@ -500,7 +567,7 @@ def test_borel_at_matches_rotated_extension(shape):
     for parts in all_diagrams(shape):
         for d in range(-2 * mn, 2 * mn + 1):
             pair = (parts, d - sum(parts))
-            assert borel_at(shape, pair) == oracle_borel_at(shape, pair)
+            assert dense_borel(borel_at(shape, pair)) == oracle_borel_at(shape, pair)
 
 
 def test_borel_at_far_from_zero():
@@ -521,9 +588,9 @@ def test_borel_at_far_from_zero():
     def check(anchor, q):
         shape, parts, k = anchor
         b = borel_at(shape, (parts, k))
-        assert b == oracle_borel_at(shape, (parts, k))
+        assert dense_borel(b) == oracle_borel_at(shape, (parts, k))
         assert b.pair == (parts, k)
-        assert b.dk.node_sum() == dbar_root(shape)
+        assert node_sum_is_dbar(b.dk)
         assert not any(gram_row_sums(b.dk))
         greys = sum(b.dk.greys)
         assert greys > 0 and greys % 2 == 0
@@ -534,7 +601,7 @@ def test_borel_at_far_from_zero():
         far = borel_at(shape, (parts, k + q * shape.n * shape.m))
         assert far.deleted == (b.deleted + turn) % shape.size
         for t, r in enumerate(b.dk.nodes):
-            raised = GlobalRoot(r.eps, r.dels, r.dbar + q * sum(r.eps))
+            raised = r._replace(dbar=r.dbar + q * sum(dense(shape, r)[0]))
             assert far.dk.nodes[(t + turn) % shape.size] == raised
 
     check()

@@ -172,6 +172,172 @@ def test_borel_command(capsys):
     assert obj["words"][0] == "rddrrrd"
 
 
+# the whole ``borel`` output: text lines and the JSON document
+BOREL_PINS = {
+    "--n 1 --m 2 --partition 1": (
+        [
+            "borel of:      1 @ 0   (class 2@-1)",
+            "simple roots:  d1 - e1, -d2 + e1",
+            "deleted node:  0  (dbar - d1 + d2)",
+            "cycle:         [dbar - d1 + d2], d1 - e1, -d2 + e1",
+            "greys:         1 2",
+            "words:         rdr drr rrd",
+        ],
+        {"n": 1,
+         "m": 2,
+         "class": {"degree": 1,
+                   "canonical": {"partition": [2], "k": -1},
+                   "reps": [{"partition": [2], "word": "rrd", "k": -1},
+                            {"partition": [1], "word": "rdr", "k": 0},
+                            {"partition": [0], "word": "drr", "k": 1}]},
+         "nodes": [{"root": "dbar - d1 + d2", "grey": False}, {"root": "d1 - e1", "grey": True},
+                   {"root": "-d2 + e1", "grey": True}],
+         "deleted": 0,
+         "local": {"partition": [1], "k": 0},
+         "simple_roots": ["d1 - e1", "-d2 + e1"],
+         "words": ["rdr", "drr", "rrd"]},
+    ),
+    "--n 2 --m 1 --partition 1,0 --k 5": (
+        [
+            "borel of:      1,0 @ 5   (class 1,1@4)",
+            "simple roots:  3dbar - d1 + e2, -2dbar + d1 - e1",
+            "deleted node:  1  (e1 - e2)",
+            "cycle:         -2dbar + d1 - e1, [e1 - e2], 3dbar - d1 + e2",
+            "greys:         0 2",
+            "words:         ddr drd rdd",
+        ],
+        {"n": 2,
+         "m": 1,
+         "class": {"degree": 6,
+                   "canonical": {"partition": [1, 1], "k": 4},
+                   "reps": [{"partition": [1, 1], "word": "rdd", "k": 4},
+                            {"partition": [0, 0], "word": "ddr", "k": 6},
+                            {"partition": [1, 0], "word": "drd", "k": 5}]},
+         "nodes": [{"root": "-2dbar + d1 - e1", "grey": True}, {"root": "e1 - e2", "grey": False},
+                   {"root": "3dbar - d1 + e2", "grey": True}],
+         "deleted": 1,
+         "local": {"partition": [1, 0], "k": 5},
+         "simple_roots": ["3dbar - d1 + e2", "-2dbar + d1 - e1"],
+         "words": ["ddr", "drd", "rdd"]},
+    ),
+    "--n 3 --m 4 --partition 4,1,1 --k=1000000": (
+        [
+            "borel of:      4,1,1 @ 1000000   (class 4,4,3@999995)",
+            "simple roots:  -83334dbar + d1 - e3, dbar - e1 + e3, 83333dbar - d2 + e1, d2 - d3, d3 - d4, -83333dbar + d4 - e2",
+            "deleted node:  5  (83334dbar - d1 + e2)",
+            "cycle:         dbar - e1 + e3, 83333dbar - d2 + e1, d2 - d3, d3 - d4, -83333dbar + d4 - e2, [83334dbar - d1 + e2], -83334dbar + d1 - e3",
+            "greys:         1 4 5 6",
+            "words:         drrrdrd rrrdrdd rrdrddr rdrddrr drddrrr rddrrrd ddrrrdr",
+        ],
+        {"n": 3,
+         "m": 4,
+         "class": {"degree": 1000006,
+                   "canonical": {"partition": [4, 4, 3], "k": 999995},
+                   "reps": [{"partition": [4, 4, 3], "word": "rrrdrdd", "k": 999995},
+                            {"partition": [3, 3, 2], "word": "rrdrddr", "k": 999998},
+                            {"partition": [2, 2, 1], "word": "rdrddrr", "k": 1000001},
+                            {"partition": [1, 1, 0], "word": "drddrrr", "k": 1000004},
+                            {"partition": [4, 1, 1], "word": "rddrrrd", "k": 1000000},
+                            {"partition": [3, 0, 0], "word": "ddrrrdr", "k": 1000003},
+                            {"partition": [4, 3, 0], "word": "drrrdrd", "k": 999999}]},
+         "nodes": [{"root": "dbar - e1 + e3", "grey": False}, {"root": "83333dbar - d2 + e1", "grey": True},
+                   {"root": "d2 - d3", "grey": False}, {"root": "d3 - d4", "grey": False},
+                   {"root": "-83333dbar + d4 - e2", "grey": True},
+                   {"root": "83334dbar - d1 + e2", "grey": True},
+                   {"root": "-83334dbar + d1 - e3", "grey": True}],
+         "deleted": 5,
+         "local": {"partition": [4, 1, 1], "k": 1000000},
+         "simple_roots": ["-83334dbar + d1 - e3", "dbar - e1 + e3", "83333dbar - d2 + e1", "d2 - d3", "d3 - d4",
+                          "-83333dbar + d4 - e2"],
+         "words": ["drrrdrd", "rrrdrdd", "rrdrddr", "rdrddrr", "drddrrr", "rddrrrd", "ddrrrdr"]},
+    ),
+    "--n 3 --m 4 --partition 4,1,1 --k=-1000000": (
+        [
+            "borel of:      4,1,1 @ -1000000   (class 4,4,3@-1000005)",
+            "simple roots:  83333dbar + d1 - e2, e2 - e3, -83333dbar - d2 + e3, d2 - d3, d3 - d4, 83334dbar + d4 - e1",
+            "deleted node:  2  (-83333dbar - d1 + e1)",
+            "cycle:         d3 - d4, 83334dbar + d4 - e1, [-83333dbar - d1 + e1], 83333dbar + d1 - e2, e2 - e3, -83333dbar - d2 + e3, d2 - d3",
+            "greys:         1 2 3 5",
+            "words:         rdrddrr drddrrr rddrrrd ddrrrdr drrrdrd rrrdrdd rrdrddr",
+        ],
+        {"n": 3,
+         "m": 4,
+         "class": {"degree": -999994,
+                   "canonical": {"partition": [4, 4, 3], "k": -1000005},
+                   "reps": [{"partition": [4, 4, 3], "word": "rrrdrdd", "k": -1000005},
+                            {"partition": [3, 3, 2], "word": "rrdrddr", "k": -1000002},
+                            {"partition": [2, 2, 1], "word": "rdrddrr", "k": -999999},
+                            {"partition": [1, 1, 0], "word": "drddrrr", "k": -999996},
+                            {"partition": [4, 1, 1], "word": "rddrrrd", "k": -1000000},
+                            {"partition": [3, 0, 0], "word": "ddrrrdr", "k": -999997},
+                            {"partition": [4, 3, 0], "word": "drrrdrd", "k": -1000001}]},
+         "nodes": [{"root": "d3 - d4", "grey": False}, {"root": "83334dbar + d4 - e1", "grey": True},
+                   {"root": "-83333dbar - d1 + e1", "grey": True},
+                   {"root": "83333dbar + d1 - e2", "grey": True}, {"root": "e2 - e3", "grey": False},
+                   {"root": "-83333dbar - d2 + e3", "grey": True}, {"root": "d2 - d3", "grey": False}],
+         "deleted": 2,
+         "local": {"partition": [4, 1, 1], "k": -1000000},
+         "simple_roots": ["83333dbar + d1 - e2", "e2 - e3", "-83333dbar - d2 + e3", "d2 - d3", "d3 - d4",
+                          "83334dbar + d4 - e1"],
+         "words": ["rdrddrr", "drddrrr", "rddrrrd", "ddrrrdr", "drrrdrd", "rrrdrdd", "rrdrddr"]},
+    ),
+    "--n 5 --m 8 --partition 7,3,3,1 --k=-123": (
+        [
+            "borel of:      7,3,3,1,0 @ -123   (class 8,8,6,5,4@-140)",
+            "simple roots:  -3dbar - d2 + e2, 3dbar + d2 - e3, -3dbar - d3 + e3, d3 - d4, 3dbar + d4 - e4, e4 - e5, -3dbar - d5 + e5, d5 - d6, d6 - d7, d7 - d8, 4dbar + d8 - e1, -3dbar - d1 + e1",
+            "deleted node:  4  (3dbar + d1 - e2)",
+            "cycle:         d6 - d7, d7 - d8, 4dbar + d8 - e1, -3dbar - d1 + e1, [3dbar + d1 - e2], -3dbar - d2 + e2, 3dbar + d2 - e3, -3dbar - d3 + e3, d3 - d4, 3dbar + d4 - e4, e4 - e5, -3dbar - d5 + e5, d5 - d6",
+            "greys:         2 3 4 5 6 7 9 11",
+            "words:         rrdrdrdrrddrr rdrdrdrrddrrr drdrdrrddrrrr rdrdrrddrrrrd drdrrddrrrrdr rdrrddrrrrdrd drrddrrrrdrdr rrddrrrrdrdrd rddrrrrdrdrdr ddrrrrdrdrdrr drrrrdrdrdrrd rrrrdrdrdrrdd rrrdrdrdrrddr",
+        ],
+        {"n": 5,
+         "m": 8,
+         "class": {"degree": -109,
+                   "canonical": {"partition": [8, 8, 6, 5, 4], "k": -140},
+                   "reps": [{"partition": [8, 8, 6, 5, 4], "word": "rrrrdrdrdrrdd", "k": -140},
+                            {"partition": [7, 7, 5, 4, 3], "word": "rrrdrdrdrrddr", "k": -135},
+                            {"partition": [6, 6, 4, 3, 2], "word": "rrdrdrdrrddrr", "k": -130},
+                            {"partition": [5, 5, 3, 2, 1], "word": "rdrdrdrrddrrr", "k": -125},
+                            {"partition": [4, 4, 2, 1, 0], "word": "drdrdrrddrrrr", "k": -120},
+                            {"partition": [8, 4, 4, 2, 1], "word": "rdrdrrddrrrrd", "k": -128},
+                            {"partition": [7, 3, 3, 1, 0], "word": "drdrrddrrrrdr", "k": -123},
+                            {"partition": [8, 7, 3, 3, 1], "word": "rdrrddrrrrdrd", "k": -131},
+                            {"partition": [7, 6, 2, 2, 0], "word": "drrddrrrrdrdr", "k": -126},
+                            {"partition": [8, 7, 6, 2, 2], "word": "rrddrrrrdrdrd", "k": -134},
+                            {"partition": [7, 6, 5, 1, 1], "word": "rddrrrrdrdrdr", "k": -129},
+                            {"partition": [6, 5, 4, 0, 0], "word": "ddrrrrdrdrdrr", "k": -124},
+                            {"partition": [8, 6, 5, 4, 0], "word": "drrrrdrdrdrrd", "k": -132}]},
+         "nodes": [{"root": "d6 - d7", "grey": False}, {"root": "d7 - d8", "grey": False},
+                   {"root": "4dbar + d8 - e1", "grey": True}, {"root": "-3dbar - d1 + e1", "grey": True},
+                   {"root": "3dbar + d1 - e2", "grey": True}, {"root": "-3dbar - d2 + e2", "grey": True},
+                   {"root": "3dbar + d2 - e3", "grey": True}, {"root": "-3dbar - d3 + e3", "grey": True},
+                   {"root": "d3 - d4", "grey": False}, {"root": "3dbar + d4 - e4", "grey": True},
+                   {"root": "e4 - e5", "grey": False}, {"root": "-3dbar - d5 + e5", "grey": True},
+                   {"root": "d5 - d6", "grey": False}],
+         "deleted": 4,
+         "local": {"partition": [7, 3, 3, 1, 0], "k": -123},
+         "simple_roots": ["-3dbar - d2 + e2", "3dbar + d2 - e3", "-3dbar - d3 + e3", "d3 - d4",
+                          "3dbar + d4 - e4", "e4 - e5", "-3dbar - d5 + e5", "d5 - d6", "d6 - d7", "d7 - d8",
+                          "4dbar + d8 - e1", "-3dbar - d1 + e1"],
+         "words": ["rrdrdrdrrddrr", "rdrdrdrrddrrr", "drdrdrrddrrrr", "rdrdrrddrrrrd", "drdrrddrrrrdr",
+                   "rdrrddrrrrdrd", "drrddrrrrdrdr", "rrddrrrrdrdrd", "rddrrrrdrdrdr", "ddrrrrdrdrdrr",
+                   "drrrrdrdrdrrd", "rrrrdrdrdrrdd", "rrrdrdrdrrddr"]},
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", BOREL_PINS)
+def test_borel_output_is_pinned(capsys, argv):
+    """Text and JSON, byte for byte: every node's global name and parity,
+    the deleted node, the simple roots and the words, on boxes from 1x2 to
+    5x8 and out to |k| = 10^6."""
+    lines, obj = BOREL_PINS[argv]
+    assert run(["borel", *shlex.split(argv)]) == 0
+    assert out_of(capsys) == ("\n".join(lines) + "\n", "")
+    assert run(["borel", *shlex.split(argv), "--format", "json"]) == 0
+    assert out_of(capsys) == (json.dumps(obj, indent=2) + "\n", "")
+
+
 @pytest.mark.parametrize("k", [10**6, -10**6])
 def test_borel_far_rotation_number(capsys, k):
     assert run(["borel", "--n", "3", "--m", "4", "--partition", "0", f"--k={k}"]) == 0

@@ -52,7 +52,7 @@ def test_borel_equivariance_catches_a_skewed_coefficient(monkeypatch):
         if pair[1] != 2:
             return b
         nodes = list(b.dk.nodes)
-        nodes[1] = affine.GlobalRoot(nodes[1].eps, nodes[1].dels, nodes[1].dbar + 1)
+        nodes[1] = nodes[1]._replace(dbar=nodes[1].dbar + 1)
         return affine.FiniteBorel(affine.CyclicDK(shape, tuple(nodes)), b.deleted, b.pair)
 
     monkeypatch.setattr(affine, "borel_at", skewed)
@@ -68,8 +68,8 @@ def test_borel_equivariance_catches_a_reflection_at_the_wrong_node(monkeypatch):
 
     def next_grey(dk, root):
         exact(dk, root)  # keeps definedness exact
-        want = affine.global_root_of_pair(dk.shape, reflect.root_pair(dk.shape, root))
-        node = next(t for t, r in enumerate(dk.nodes) if (r.eps, r.dels) == (want.eps, want.dels))
+        want = (root.i, -root.j) if root.sign > 0 else (-root.j, root.i)
+        node = next(t for t, r in enumerate(dk.nodes) if (r.up, r.down) == want)
         greys = [t for t, grey in enumerate(dk.greys) if grey]
         return dk.reflect(greys[(greys.index(node) + 1) % len(greys)])
 
@@ -127,14 +127,16 @@ def test_borel_equivariance_reports_a_representative_with_another_diagram(monkey
 
 
 def test_borel_equivariance_catches_a_reflection_off_the_node_sum(monkeypatch):
-    """A ``CyclicDK.reflect`` that adds the node to one neighbour only moves
-    the node sum off dbar.  ``borel-equivariance`` has no node-sum clause:
-    the moved diagram disagrees with the table's Borel of its pair."""
+    """A ``CyclicDK.reflect`` that passes the node's dbar to one neighbour
+    only keeps the chain of labels but moves the node sum off dbar.
+    ``borel-equivariance`` has no node-sum clause: the moved diagram
+    disagrees with the table's Borel of its pair."""
+    exact = affine.CyclicDK.reflect
 
     def one_sided(dk, node):
-        nodes = list(dk.nodes)
-        nodes[node] = -dk.nodes[node]
-        nodes[(node + 1) % dk.size] += dk.nodes[node]
+        nodes = list(exact(dk, node).nodes)
+        prev = (node - 1) % dk.size
+        nodes[prev] = nodes[prev]._replace(dbar=nodes[prev].dbar - dk.nodes[node].dbar)
         return affine.CyclicDK(dk.shape, tuple(nodes))
 
     monkeypatch.setattr(affine.CyclicDK, "reflect", one_sided)
@@ -269,7 +271,7 @@ def _skew_node_one(exact):
     def fault(shape, pair):
         b = exact(shape, pair)
         nodes = list(b.dk.nodes)
-        nodes[1] = affine.GlobalRoot(nodes[1].eps, nodes[1].dels, nodes[1].dbar + 1)
+        nodes[1] = nodes[1]._replace(dbar=nodes[1].dbar + 1)
         return affine.FiniteBorel(affine.CyclicDK(shape, tuple(nodes)), b.deleted, b.pair)
 
     return fault
