@@ -2,28 +2,29 @@
 
 A Borel of the affinization is recorded as a cyclic sequence of m + n real
 roots e_x - e_y + c*dbar over the basis e_1..e_n, d_1..d_m, dbar, summing to
-dbar.  A node stores the basis labels of x and y (a for e_a, -b for d_b)
-and c; ``CyclicDK`` refuses a sequence whose labels do not chain, each
-node's y being the next node's x, through every basis vector once, so the
-finite parts telescope to 0 and the node sum is dbar exactly when the c's
-sum to 1.  The basis pairing is (e_i, e_j) = delta_ij = -(d_i, d_j) with e
-and d orthogonal; dbar is isotropic and orthogonal to everything, the
-standard affine convention, which is exactly what makes all row sums of
-the full cyclic Gram matrix vanish.  Grey nodes are the isotropic ones,
-which pair an e with a d.
+dbar.  ``CyclicDK`` stores the cyclic word of basis labels (a for e_a, -b
+for d_b), each once, and one c per position; node t runs from label t to
+label t + 1, so the nodes chain, their finite parts telescope to 0 and
+the node sum is dbar exactly when the c's sum to 1.  ``nodes`` renders
+them as ``GlobalRoot`` values.  The basis pairing is (e_i, e_j) = delta_ij
+= -(d_i, d_j) with e and d orthogonal; dbar is isotropic and orthogonal to
+everything, the standard affine convention, which is exactly what makes
+all row sums of the full cyclic Gram matrix vanish.  Grey nodes are the
+isotropic ones, which pair an e with a d.
 
 A finite Borel inside the affinization is the same cyclic diagram plus a
-deleted node: the other m + n - 1 nodes, read cyclically starting
-after the deleted node, are the global names of its simple roots, while
-the attached anchored pair (diagram, k) gives their local names, the
-consecutive differences of the diagram's shuffle.  Moving the deletion
-site one step corresponds to a row/column move on the local pair ("+r" and
-"-c" step forward, "-r" and "+c" step back) and never changes the cyclic
-diagram; reflecting at a grey node negates it, adds it to both
-cyclic neighbours, and moves the local diagram by the box under the node
-at a fixed k.  The morphism s(e_i - d_j) acts on the cyclic
-diagram alone: it reflects at the node whose labels are those of
-s(e_i - d_j), and is undefined when no node has them (``borel_act``).
+deleted node: the other m + n - 1 nodes, read cyclically starting after
+the deleted node, are the global names of its simple roots, while the
+attached anchored pair (diagram, k) gives their local names, the
+consecutive differences of the diagram's shuffle.  A row/column move on
+the local pair steps the deletion site by the move's turn of the word
+(``reflect.edge_turn``) and never changes the cyclic diagram.  Reflecting
+at a grey node negates it, adds it to both cyclic neighbours, and moves
+the local diagram by the box under the node at a fixed k; on the labels
+it swaps the node's two, as the class action swaps a mixed adjacent pair
+of the border word.  The morphism s(e_i - d_j) acts on the cyclic diagram
+alone: it swaps the adjacent labels of s(e_i - d_j), and is undefined
+when they are not adjacent in that order (``borel_act``).
 
 The Borel paired with an anchored pair (diagram, k) has a closed form.
 The extension of a shuffle sigma (``extend``) is its cyclic consecutive
@@ -33,13 +34,13 @@ gets dbar.  Split k = i*n + j*m - c*mn with 0 <= i < m and 0 <= j < n
 sends e_a to e_{a-j} and d_b to d_{b+i}, and lowers the dbar coefficient of
 a node by c - [a <= j] for each e_a and by [b > m - i] for each d_b, counted
 with the node's coefficients.  Node t lands at position (D + t) mod (m + n)
-with D = i - j - c*m, and D is the deleted node.  ``borel_at`` builds each
-node straight from the two shuffle symbols under it, without ``extend``.
+with D = i - j - c*m, and D is the deleted node.  ``borel_at`` fills each
+label and c straight from the shuffle symbols, without ``extend``.
 Raising k by mn lowers c by one, so it rotates the positions by m and raises
 each dbar coefficient by the sum of the node's e coefficients.
 The formula is checked, not assumed, and decoded as well as computed:
-``site_pair`` reads a deletion site's anchored pair back from the labels
-alone.  ``verify`` compares the formula with ``extend`` at the empty
+``site_pair`` reads a deletion site's anchored pair back from the cyclic
+diagram alone.  ``verify`` compares the formula with ``extend`` at the empty
 diagram and k = 0, with every node move and odd reflection out of every
 anchor in its window and with the decoder, and the tests compare it with a
 breadth-first search over those moves and reflections from the extension of
@@ -64,13 +65,13 @@ from .rect import (
     shuffle_of_diagram,
     solve_rotation,
 )
-from .reflect import diagram_edge, pair_root, t_apply
+from .reflect import edge_turn, pair_root, t_apply
 from .orbit import (
     AnchoredPair,
     OrbitClass,
     UndefinedMorphism,
-    edge_shift,
     enumerate_class,
+    raw_move,
     require_class_shape,
 )
 
@@ -88,7 +89,8 @@ class NotTypeA(DomainError):
 
 
 class GlobalRoot(NamedTuple):
-    """The real root e_up - e_down + c*dbar of the affinization, c = ``dbar``.
+    """The real root e_up - e_down + c*dbar of the affinization, c = ``dbar``:
+    the rendered view of one node of a ``CyclicDK``.
 
     A basis label is a for e_a (1 <= a <= n) and -b for d_b (1 <= b <= m).
     The root is isotropic, a grey node, exactly when it pairs an e with a d.
@@ -122,55 +124,62 @@ class GlobalRoot(NamedTuple):
 
 class _Cycle(NamedTuple):
     shape: RectShape
-    nodes: tuple[GlobalRoot, ...]
+    labels: tuple[int, ...]
+    dbar: tuple[int, ...]
 
 
 class CyclicDK(_Cycle):
-    """A cyclic arrangement of m + n global roots that chain through the basis:
-    the up labels cover every basis vector once, and the down label of each
-    node is the up label of the next.  The finite parts then telescope to 0;
-    valid diagrams have node sum dbar, so their dbar coefficients sum to 1, and
-    an even positive number of grey (isotropic) nodes.
-    """
+    """The cyclic word of the m + n basis labels, each once, and one dbar
+    coefficient per position; node t is e_{labels[t]} - e_{labels[t+1]} +
+    dbar[t]*dbar.  Valid diagrams have node sum dbar, so their dbar
+    coefficients sum to 1, and an even positive number of grey (isotropic)
+    nodes, the e/d turns of the word."""
 
     __slots__ = ()
 
-    def __new__(cls, shape: RectShape, nodes: tuple[GlobalRoot, ...]):
-        if len(nodes) != shape.size:
-            raise ValueError(f"expected {shape.size} nodes, got {len(nodes)}")
-        ups = [r.up for r in nodes]
-        if set(ups) != {*range(-shape.m, 0), *range(1, shape.n + 1)} or any(
-            r.down != up for r, up in zip(nodes, ups[1:] + ups[:1])
-        ):
-            raise NotTypeA("the nodes do not chain through every basis vector once")
-        return tuple.__new__(cls, (shape, nodes))
+    def __new__(cls, shape: RectShape, labels: tuple[int, ...], dbar: tuple[int, ...]):
+        if len(dbar) != shape.size:
+            raise ValueError(f"expected {shape.size} dbar coefficients, got {len(dbar)}")
+        if len(labels) != shape.size or set(labels) != {*range(-shape.m, 0), *range(1, shape.n + 1)}:
+            raise NotTypeA("the labels do not cover every basis vector once")
+        return tuple.__new__(cls, (shape, tuple(labels), tuple(dbar)))
+
+    @classmethod
+    def _make(cls, iterable) -> "CyclicDK":
+        return cls(*iterable)
 
     @property
     def size(self) -> int:
         return self.shape.size
 
     @property
+    def nodes(self) -> tuple[GlobalRoot, ...]:
+        """Each node as a ``GlobalRoot``, its label, the next label and its dbar."""
+        labels = self.labels
+        return tuple(map(GlobalRoot, labels, labels[1:] + labels[:1], self.dbar))
+
+    @property
     def greys(self) -> tuple[bool, ...]:
-        return tuple(r.isotropic for r in self.nodes)
+        labels = self.labels
+        return tuple((x > 0) != (y > 0) for x, y in zip(labels, labels[1:] + labels[:1]))
 
     def node_sum(self) -> int:
         """The dbar coefficient of the node sum; the finite parts cancel."""
-        return sum(r.dbar for r in self.nodes)
+        return sum(self.dbar)
 
     def reflect(self, node: int) -> "CyclicDK":
         """Negate a grey node and add it to both cyclic neighbours, which
-        keeps the node sum: the node swaps its labels and negates its dbar,
-        the previous node takes its down label and the next its up label,
-        and both take its dbar."""
-        gamma = self.nodes[node]
-        if not gamma.isotropic:
-            raise NotIsotropic(f"node {node} ({gamma.render()}) is not isotropic")
-        nodes = list(self.nodes)
-        prev, succ = (node - 1) % self.size, (node + 1) % self.size
-        nodes[node] = GlobalRoot(gamma.down, gamma.up, -gamma.dbar)
-        nodes[prev] = nodes[prev]._replace(down=gamma.down, dbar=nodes[prev].dbar + gamma.dbar)
-        nodes[succ] = nodes[succ]._replace(up=gamma.up, dbar=nodes[succ].dbar + gamma.dbar)
-        return CyclicDK(self.shape, tuple(nodes))
+        keeps the node sum: swap its two labels, negate its dbar
+        coefficient and add that to both neighbours' coefficients."""
+        succ = (node + 1) % self.size
+        labels, dbar = list(self.labels), list(self.dbar)
+        if (labels[node] > 0) == (labels[succ] > 0):
+            raise NotIsotropic(f"node {node} ({self.nodes[node].render()}) is not isotropic")
+        labels[node], labels[succ] = labels[succ], labels[node]
+        dbar[node - 1] += dbar[node]
+        dbar[succ] += dbar[node]
+        dbar[node] = -dbar[node]
+        return CyclicDK(self.shape, tuple(labels), tuple(dbar))
 
 
 class FiniteBorel(NamedTuple):
@@ -193,10 +202,8 @@ class FiniteBorel(NamedTuple):
 
     def simple_global(self) -> tuple[GlobalRoot, ...]:
         """Global names of the simple roots, in local order."""
-        size = self.dk.size
-        return tuple(
-            self.dk.nodes[(self.deleted + 1 + t) % size] for t in range(size - 1)
-        )
+        nodes = self.dk.nodes
+        return nodes[self.deleted + 1:] + nodes[:self.deleted]
 
 
 def extend(shape: RectShape, shuf: Shuffle) -> FiniteBorel:
@@ -210,25 +217,15 @@ def extend(shape: RectShape, shuf: Shuffle) -> FiniteBorel:
         raise ShapeUnsupported(f"extension needs n != m, got {shape.n}x{shape.m}")
     check_shuffle(shape, shuf)
     labels = [a if a <= shape.n else shape.n - a for a in shuf]  # d_b is symbol n + b, label -b
-    nodes = (GlobalRoot(labels[t - 1], labels[t], int(t == 0)) for t in range(shape.size))
-    dk = CyclicDK(shape, tuple(nodes))
+    dk = CyclicDK(shape, tuple(labels[-1:] + labels[:-1]), (1,) + (0,) * (shape.size - 1))
     return FiniteBorel(dk, 0, AnchoredPair(diagram_of_shuffle(shape, shuf), 0))
 
 
-_MOVE_STEP = {"+r": 1, "-c": 1, "-r": -1, "+c": -1}
-
-
 def node_move(b: FiniteBorel, which: str) -> FiniteBorel:
-    """Re-anchor a Borel by one row/column move; the cyclic diagram is unchanged."""
-    if which not in _MOVE_STEP:
-        raise ValueError(f"unknown edge move {which!r}")
-    shape = b.shape
-    moved = diagram_edge(shape, b.pair.diagram, which)
-    return FiniteBorel(
-        b.dk,
-        (b.deleted + _MOVE_STEP[which]) % b.dk.size,
-        AnchoredPair(moved, b.pair.k + edge_shift(shape, which)),
-    )
+    """Re-anchor a Borel by one row/column move; the cyclic diagram is
+    unchanged and the deletion site steps by the move's turn of the word."""
+    _, turn = edge_turn(which)
+    return FiniteBorel(b.dk, (b.deleted + turn) % b.dk.size, raw_move(b.shape, b.pair, which))
 
 
 def reflected_pairs(b: FiniteBorel) -> dict[int, AnchoredPair]:
@@ -241,8 +238,8 @@ def reflected_pairs(b: FiniteBorel) -> dict[int, AnchoredPair]:
     shape, size = b.shape, b.dk.size
     shuf = shuffle_of_diagram(shape, b.pair.diagram)
     out = {}
-    for node, r in enumerate(b.dk.nodes):
-        if node == b.deleted or not r.isotropic:
+    for node, grey in enumerate(b.dk.greys):
+        if node == b.deleted or not grey:
             continue
         pos = (node - b.deleted - 1) % size
         box = pair_root(shape, (shuf[pos], shuf[pos + 1]))
@@ -262,14 +259,13 @@ def affine_reflect(b: FiniteBorel, node: int) -> FiniteBorel:
 
 
 def borel_act(dk: CyclicDK, root: OddRoot) -> CyclicDK:
-    """Reflect at the node whose finite part is s(e_i - d_j): labels (i, -j)
-    for s = +, (-j, i) for s = -.  That node is grey.
-    """
+    """Swap the adjacent labels of s(e_i - d_j), (i, -j) for s = + and
+    (-j, i) for s = -: the reflection at that node, which is grey."""
     check_root(dk.shape, root)
-    want = (root.i, -root.j) if root.sign > 0 else (-root.j, root.i)
-    for node, r in enumerate(dk.nodes):
-        if (r.up, r.down) == want:
-            return dk.reflect(node)
+    up, down = (root.i, -root.j) if root.sign > 0 else (-root.j, root.i)
+    node = dk.labels.index(up)
+    if dk.labels[(node + 1) % dk.size] == down:
+        return dk.reflect(node)
     raise UndefinedMorphism(f"{render_root(root)} undefined on this Borel")
 
 
@@ -334,11 +330,12 @@ def borel_at(shape: RectShape, pair) -> FiniteBorel:
     for b in range(1, m + 1):
         label[n + b], lift[n + b] = -((b - 1 + i) % m + 1), int(b > m - i)
     deleted = (i - j - c * m) % size
-    nodes = [None] * size
+    labels, dbar = [0] * size, [0] * size
     for t in range(size):
         up, down = shuf[t - 1], shuf[t]
-        nodes[(deleted + t) % size] = GlobalRoot(label[up], label[down], (t == 0) - lift[up] + lift[down])
-    return FiniteBorel(CyclicDK(shape, tuple(nodes)), deleted, AnchoredPair(parts, k))
+        labels[(deleted + t) % size] = label[up]
+        dbar[(deleted + t) % size] = (t == 0) - lift[up] + lift[down]
+    return FiniteBorel(CyclicDK(shape, tuple(labels), tuple(dbar)), deleted, AnchoredPair(parts, k))
 
 
 class BorelAtlas:
@@ -355,22 +352,23 @@ class BorelAtlas:
 
 def site_pair(dk: CyclicDK, site: int) -> AnchoredPair:
     """The anchored pair whose Borel deletes node ``site``, read from the
-    labels alone.  After the site, the nodes' up labels are the rotated
-    shuffle symbols, so they spell the border word (``d`` for an e label,
-    ``r`` for a d label), and the running sum of their dbar coefficients
-    gives each symbol's lift: the first e and the first d give j and i, and
-    the lift is 0 at d_1 and c - [j > 0] at e_1."""
+    labels and dbar coefficients alone.  After the site, the labels are the
+    rotated shuffle symbols, so they spell the border word (``d`` for an e
+    label, ``r`` for a d label), and the running sum of the dbar
+    coefficients gives each symbol's lift: the first e and the first d give
+    j and i, and the lift is 0 at d_1 and c - [j > 0] at e_1."""
     require_class_shape(dk.shape)
-    n, m, size = dk.shape.n, dk.shape.m, dk.size
-    after = [dk.nodes[(site + 1 + t) % size] for t in range(size)]
-    lift, first = 0, {}  # running dbar sum; is-e -> (up label, lift) of the first such symbol
-    for r in after:
-        first.setdefault(r.up > 0, (r.up, lift))
-        lift += r.dbar
+    n, m = dk.shape.n, dk.shape.m
+    start = (site + 1) % dk.size
+    labels = dk.labels[start:] + dk.labels[:start]
+    lift, first = 0, {}  # running dbar sum; is-e -> (label, lift) of the first such symbol
+    for x, c in zip(labels, dk.dbar[start:] + dk.dbar[:start]):
+        first.setdefault(x > 0, (x, lift))
+        lift += c
     (a, e_lift), (b, d_lift) = first[True], first[False]
     i, j = -b - 1, (1 - a) % n
     k = i * n + j * m - (e_lift - d_lift + (j > 0)) * n * m
-    word = "".join("d" if r.up > 0 else "r" for r in after)
+    word = "".join("d" if x > 0 else "r" for x in labels)
     return AnchoredPair(diagram_of_word(dk.shape, word), k)
 
 
@@ -386,7 +384,7 @@ def site_pairs(dk: CyclicDK) -> tuple[AnchoredPair, ...]:
 
 def class_of_borel(dk: CyclicDK) -> OrbitClass:
     """The class whose members are the ``site_pairs`` of a cyclic diagram, or
-    ``NotTypeA``: a left inverse of the pairing, read from the nodes alone."""
+    ``NotTypeA``: a left inverse of the pairing, read from the diagram alone."""
     pairs = site_pairs(dk)
     cls = enumerate_class(dk.shape, pairs[0])
     if set(cls.reps) != set(pairs):

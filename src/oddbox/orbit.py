@@ -64,7 +64,7 @@ from .rect import (
     solve_rotation,
     word_of_diagram,
 )
-from .reflect import pair_root, t_apply
+from .reflect import diagram_edge, edge_turn, pair_root, t_apply
 
 
 class UndefinedMorphism(DomainError):
@@ -143,8 +143,14 @@ class OrbitClass(NamedTuple):
 
 
 def edge_shift(shape: RectShape, which: str) -> int:
-    """Rotation-number shift of a row/column move."""
-    return {"-r": shape.m, "+r": -shape.m, "-c": shape.n, "+c": -shape.n}[which]
+    """Rotation-number shift of a row/column move: n per ``r``, -m per ``d`` turned to the back."""
+    letter, turn = edge_turn(which)
+    return turn * shape.n if letter == "r" else -turn * shape.m
+
+
+def raw_move(shape: RectShape, pair, which: str) -> AnchoredPair:
+    """A row/column move on a pair: ``diagram_edge`` and the k shift."""
+    return AnchoredPair(diagram_edge(shape, tuple(pair[0]), which), pair[1] + edge_shift(shape, which))
 
 
 def canonical_pair(shape: RectShape, pair) -> AnchoredPair:
@@ -283,18 +289,16 @@ def row_class(shape: RectShape, pair) -> tuple[AnchoredPair, ...]:
 def approx_decompose(cls: OrbitClass) -> tuple[tuple[AnchoredPair, ...], ...]:
     """Split a class into the m parts of its row-move-only refinement.
 
-    Parts are keyed by the residue of k_i - k_0 modulo m, relative to an
-    anchor whose word ends in ``r`` (re-anchoring avoids wrap-around runs
-    of ``d``); every part is nonempty.
+    In rotation order every step is a row move except the step into a
+    member whose bottom row is not full; a part starts at each such member.
     """
-    shape = cls.shape
-    idx = next(t for t, rep in enumerate(cls.reps) if rep.diagram[0] < shape.m)
-    seq = cls.reps[idx:] + cls.reps[:idx]
-    k0 = seq[0].k
-    inv_n = pow(shape.n, -1, shape.m) if shape.m > 1 else 0
-    parts: list[list[AnchoredPair]] = [[] for _ in range(shape.m)]
-    for rep in seq:
-        parts[((rep.k - k0) % shape.m) * inv_n % shape.m].append(rep)
+    m = cls.shape.m
+    idx = next(t for t, rep in enumerate(cls.reps) if rep.diagram[0] < m)
+    parts: list[list[AnchoredPair]] = []
+    for rep in cls.reps[idx:] + cls.reps[:idx]:
+        if rep.diagram[0] < m:
+            parts.append([])
+        parts[-1].append(rep)
     return tuple(tuple(p) for p in parts)
 
 

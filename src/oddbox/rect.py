@@ -60,6 +60,10 @@ class RectShape(_Box):
             raise ValueError(f"box needs positive dimensions, got {n}x{m}")
         return tuple.__new__(cls, (n, m))
 
+    @classmethod
+    def _make(cls, iterable) -> "RectShape":
+        return cls(*iterable)
+
     @property
     def coprime(self) -> bool:
         return gcd(self.n, self.m) == 1
@@ -89,6 +93,10 @@ class OddRoot(_SignedIJ):
         if sign not in (1, -1):
             raise ValueError(f"root sign must be +1 or -1, got {sign!r}")
         return tuple.__new__(cls, (sign, i, j))
+
+    @classmethod
+    def _make(cls, iterable) -> "OddRoot":
+        return cls(*iterable)
 
     def negated(self) -> "OddRoot":
         return OddRoot(-self.sign, self.i, self.j)

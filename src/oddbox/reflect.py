@@ -22,6 +22,7 @@ from .rect import (
     dual,
     render_diagram,
     render_root,
+    rotate_word,
     shuffle_of_word,
     word_of_shuffle,
 )
@@ -122,7 +123,17 @@ def p_apply(shape: RectShape, word: str, root: OddRoot) -> str:
     raise NotSimple(f"{render_root(root)} is not simple for {word!r}")
 
 
-EDGE_OPS = ("-r", "+r", "-c", "+c")
+# each row/column move turns the border word by one letter: the letter it
+# carries across the ends, and the turn (+1 front to back, -1 back to front)
+_EDGE_TURNS = {"-r": ("d", -1), "+r": ("d", 1), "-c": ("r", 1), "+c": ("r", -1)}
+EDGE_OPS = tuple(_EDGE_TURNS)
+
+
+def edge_turn(which: str) -> tuple[str, int]:
+    """The letter a row/column move carries and its turn of the word."""
+    if which not in _EDGE_TURNS:
+        raise ValueError(f"unknown edge move {which!r}, expected one of {EDGE_OPS}")
+    return _EDGE_TURNS[which]
 
 
 class EdgeFlags(NamedTuple):
@@ -189,27 +200,16 @@ def diagram_edge(shape: RectShape, parts: Parts, which: str) -> Parts:
 
 
 def word_edge(shape: RectShape, word: str, which: str) -> str:
-    """The row/column moves on words: each cycles the word by one letter.
+    """The row/column moves on words: each turns the word by one letter,
+    the letter and the turn of ``edge_turn``.
 
     "-r": xd -> dx, "+r": dx -> xd, "-c": rx -> xr, "+c": xr -> rx.
     """
-    if which == "-r":
-        if not word.endswith("d"):
-            raise NotEligible(f"{word!r} does not end with d")
-        return word[-1] + word[:-1]
-    if which == "+r":
-        if not word.startswith("d"):
-            raise NotEligible(f"{word!r} does not start with d")
-        return word[1:] + word[0]
-    if which == "-c":
-        if not word.startswith("r"):
-            raise NotEligible(f"{word!r} does not start with r")
-        return word[1:] + word[0]
-    if which == "+c":
-        if not word.endswith("r"):
-            raise NotEligible(f"{word!r} does not end with r")
-        return word[-1] + word[:-1]
-    raise ValueError(f"unknown edge move {which!r}, expected one of {EDGE_OPS}")
+    letter, turn = edge_turn(which)
+    end = "start" if turn > 0 else "end"
+    if word[0 if turn > 0 else -1] != letter:
+        raise NotEligible(f"{word!r} does not {end} with {letter}")
+    return rotate_word(word, turn)
 
 
 def shuffle_edge(shape: RectShape, shuf: Shuffle, which: str) -> Shuffle:

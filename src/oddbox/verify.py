@@ -141,7 +141,7 @@ def _edge_moves(shape, window):
                 bad.append(f"move {which} disagrees between words and diagrams at {parts}")
             if reflect.shuffle_edge(shape, sh, which) != rect.shuffle_of_word(shape, moved_word):
                 bad.append(f"move {which} disagrees between shuffles and words at {parts}")
-            inverse = {"-r": "+r", "+r": "-r", "-c": "+c", "+c": "-c"}[which]
+            inverse = ("+" if which[0] == "-" else "-") + which[1]
             if reflect.diagram_edge(shape, moved, inverse) != parts:
                 bad.append(f"moves {which}/{inverse} are not inverse at {parts}")
     return bad
@@ -277,13 +277,12 @@ def _class_generators(shape, table, d):
         frontier = [cls.canonical]
         while frontier:
             nxt = []
-            for parts, k in frontier:
+            for pair in frontier:
                 for which in reflect.EDGE_OPS:
                     try:
-                        moved = reflect.diagram_edge(shape, parts, which)
+                        q = orbit.raw_move(shape, pair, which)
                     except reflect.NotEligible:
                         continue
-                    q = orbit.AnchoredPair(moved, k + orbit.edge_shift(shape, which))
                     if q not in closure:
                         closure.add(q)
                         nxt.append(q)
@@ -474,19 +473,17 @@ def _vss(shape, table, d):
 
 def _borel_invariants(shape, table, d):
     """Node sum dbar, so Gram row t sums to (nodes[t], dbar) = 0, and the
-    deleted node reads back the local pair.  A ``CyclicDK`` is a chain of
-    unit differences through the basis, so the finite parts sum to 0, each
-    node pairs with itself to 2, -2 or 0, and the grey count (e/d turns) is
-    even, not 0; the node sum is dbar when the dbar coefficients sum to 1."""
+    deleted node reads back the local pair.  A ``CyclicDK`` node is the
+    difference of two adjacent labels of a word of the basis, so the finite
+    parts sum to 0, each node pairs with itself to 2, -2 or 0, and the grey
+    count (e/d turns) is even, not 0; the node sum is dbar when the dbar
+    coefficients sum to 1."""
     bad = []
     for cls in table.classes(d):
         b = table.borel(cls.canonical)
         if b.dk.node_sum() != 1:
             bad.append(f"node sum wrong for {orbit.class_id(cls)}")
-        try:
-            read = affine.site_pair(b.dk, b.deleted)
-        except affine.NotTypeA as exc:
-            read = exc
+        read = affine.site_pair(b.dk, b.deleted)
         if read != b.pair:
             bad.append(f"the deleted node of {orbit.class_id(cls)} reads back {read}")
     return bad

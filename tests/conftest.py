@@ -10,7 +10,6 @@ from oddbox.orbit import (
     all_signed_roots,
     class_id,
     class_json,
-    edge_shift,
     enumerate_class,
 )
 from oddbox.rect import (
@@ -47,6 +46,7 @@ def class_check(check, shape, window):
 
 def closure_by_raw_moves(shape, pair):
     """Independent oracle: close under the four moves with their k shifts."""
+    shift = {"-r": shape.m, "+r": -shape.m, "-c": shape.n, "+c": -shape.n}
     seen = {AnchoredPair(tuple(pair[0]), pair[1])}
     frontier = list(seen)
     while frontier:
@@ -57,7 +57,7 @@ def closure_by_raw_moves(shape, pair):
                     moved = diagram_edge(shape, parts, which)
                 except NotEligible:
                     continue
-                q = AnchoredPair(moved, k + edge_shift(shape, which))
+                q = AnchoredPair(moved, k + shift[which])
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)

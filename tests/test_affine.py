@@ -105,8 +105,14 @@ def test_global_root_isotropic_is_the_form():
 
 
 def test_value_types_of_the_affinization():
-    with pytest.raises(ValueError, match="expected 5 nodes, got 4"):
-        CyclicDK(S23, (GlobalRoot(1, -1, 0),) * 4)
+    with pytest.raises(ValueError, match="expected 5 dbar coefficients, got 4"):
+        CyclicDK(S23, (1, -1, 2, -2, -3), (1, 0, 0, 0))
+    dk = CyclicDK(S23, [1, -1, 2, -2, -3], [1, 0, 0, 0, 0])
+    assert dk.labels == (1, -1, 2, -2, -3) and dk.dbar == (1, 0, 0, 0, 0)
+    assert hash(dk) == hash(CyclicDK(S23, dk.labels, dk.dbar))
+    with pytest.raises(AttributeError):
+        dk.labels = (1, -1, 2, -2, -3)
+    assert repr(dk) == "CyclicDK(shape=RectShape(n=2, m=3), labels=(1, -1, 2, -2, -3), dbar=(1, 0, 0, 0, 0))"
     a, b = GlobalRoot(1, -2, 0), GlobalRoot(2, 1, -1)
     with pytest.raises(AttributeError):
         a.dbar = 1
@@ -114,20 +120,40 @@ def test_value_types_of_the_affinization():
     assert repr(a) == "GlobalRoot(up=1, down=-2, dbar=0)"
 
 
+def test_value_types_refuse_a_bad_replace():
+    """``_replace`` builds through the validating constructor."""
+    with pytest.raises(ValueError, match="positive dimensions"):
+        S23._replace(n=0)
+    assert S23._replace(m=5) == RectShape(2, 5)
+    with pytest.raises(ValueError, match="sign"):
+        OddRoot(1, 1, 1)._replace(sign=7)
+    assert OddRoot(1, 1, 1)._replace(sign=-1) == OddRoot(-1, 1, 1)
+    dk = borel_at(S23, ((0, 0), 0)).dk
+    with pytest.raises(NotTypeA, match="every basis vector once"):
+        dk._replace(labels=dk.labels[:1] * 2 + dk.labels[2:])
+    with pytest.raises(ValueError, match="expected 5 dbar coefficients, got 4"):
+        dk._replace(dbar=dk.dbar[1:])
+    assert dk._replace(dbar=dk.dbar) == dk
+
+
 def test_cyclic_dk_refuses_a_broken_chain():
-    """The nodes must chain, each down label the next up label, through
-    every basis vector once: two adjacent nodes swapped break the chain,
-    and a chain that repeats an up label misses a basis vector."""
-    nodes = list(borel_at(S34, ((4, 1, 1), 0)).dk.nodes)
-    with pytest.raises(NotTypeA, match="chain"):
-        CyclicDK(S34, tuple(nodes[:1] + [nodes[2], nodes[1]] + nodes[3:]))
-
-    def chain(ups):
-        return tuple(GlobalRoot(up, ups[(t + 1) % len(ups)], int(t == 0)) for t, up in enumerate(ups))
-
-    assert CyclicDK(S23, chain([1, -1, 2, -2, -3])).node_sum() == 1
-    with pytest.raises(NotTypeA, match="chain"):
-        CyclicDK(S23, chain([1, -1, 1, -2, -3]))  # repeats e1, misses e2
+    """The labels must cover every basis vector once, and then the nodes
+    chain by construction, each down label the next up label.  A word that
+    repeats a label misses a basis vector; one too short, too long or with
+    a label outside the box is no permutation of the basis."""
+    dk = CyclicDK(S23, (1, -1, 2, -2, -3), (1, 0, 0, 0, 0))
+    assert dk.node_sum() == 1
+    assert [r.down for r in dk.nodes] == [r.up for r in dk.nodes[1:] + dk.nodes[:1]]
+    assert [r.render() for r in dk.nodes] == ["dbar - d1 + e1", "d1 - e2", "-d2 + e2", "d2 - d3", "d3 - e1"]
+    for labels in (
+        (1, -1, 1, -2, -3),  # repeats e1, misses e2
+        (1, -1, 2, -2),
+        (1, -1, 2, -2, -3, -3),
+        (1, -1, 3, -2, -3),
+        (1, -1, 2, -2, 0),
+    ):
+        with pytest.raises(NotTypeA, match="every basis vector once"):
+            CyclicDK(S23, labels, (1, 0, 0, 0, 0))
 
 
 def test_global_root_render():
@@ -341,17 +367,16 @@ def test_borel_class_roundtrip():
 
 
 def test_class_of_borel_rejects_a_diagram_no_shuffle_fits():
-    """Two adjacent nodes swapped break the chain of labels, so no
-    ``CyclicDK`` holds them; a chain whose node sum is off dbar, one dbar
-    coefficient moved, reads no class."""
-    nodes = list(borel_at(S34, ((4, 1, 1), 0)).dk.nodes)
+    """A word that repeats a label is no ``CyclicDK``; a diagram whose node
+    sum is off dbar, one dbar coefficient moved, reads no class."""
+    dk = borel_at(S34, ((4, 1, 1), 0)).dk
     with pytest.raises(NotTypeA):
-        CyclicDK(S34, tuple(nodes[:1] + [nodes[2], nodes[1]] + nodes[3:]))
-    for t in range(len(nodes)):
+        dk._replace(labels=dk.labels[:1] * 2 + dk.labels[2:])
+    for t in range(dk.size):
         for shift in (1, -1):
-            skewed = nodes[:t] + [nodes[t]._replace(dbar=nodes[t].dbar + shift)] + nodes[t + 1:]
+            skewed = dk.dbar[:t] + (dk.dbar[t] + shift,) + dk.dbar[t + 1:]
             with pytest.raises(NotTypeA):
-                class_of_borel(CyclicDK(S34, tuple(skewed)))
+                class_of_borel(dk._replace(dbar=skewed))
 
 
 def test_class_of_borel_reads_no_borel_at(monkeypatch):
@@ -406,9 +431,9 @@ def test_site_pairs_sampled_past_the_exhaustive_range():
 
 def test_label_form_is_the_vector_form_past_the_exhaustive_range():
     """On big boxes and far rotation numbers, ``borel_at`` expands to the
-    rotated extension, and reflecting at each grey node by swapping labels
-    and passing them on expands to the vector reflection: negate the node
-    and add it to both cyclic neighbours."""
+    rotated extension, its nodes view chains, and reflecting at each grey
+    node swaps exactly its two labels and expands to the vector reflection:
+    negate the node and add it to both cyclic neighbours."""
     from hypothesis import given, settings
 
     @settings(deadline=None, max_examples=40)
@@ -422,6 +447,9 @@ def test_label_form_is_the_vector_form_past_the_exhaustive_range():
         def flat(dk):
             return [eps + dels + (dbar,) for eps, dels, dbar in (dense(shape, r) for r in dk.nodes)]
 
+        nodes = b.dk.nodes
+        assert [r.up for r in nodes] == list(b.dk.labels)
+        assert [r.down for r in nodes] == [r.up for r in nodes[1:] + nodes[:1]]
         vecs = flat(b.dk)
         for t, grey in enumerate(b.dk.greys):
             if grey:
@@ -429,7 +457,11 @@ def test_label_form_is_the_vector_form_past_the_exhaustive_range():
                 want[t] = tuple(map(neg, vecs[t]))
                 for s in (t - 1, (t + 1) % shape.size):
                     want[s] = tuple(map(add, want[s], vecs[t]))
-                assert flat(b.dk.reflect(t)) == want
+                moved = b.dk.reflect(t)
+                assert flat(moved) == want
+                s = (t + 1) % shape.size
+                assert [u for u, (x, y) in enumerate(zip(b.dk.labels, moved.labels)) if x != y] == sorted({t, s})
+                assert (moved.labels[t], moved.labels[s]) == (b.dk.labels[s], b.dk.labels[t])
 
     check()
 
@@ -452,6 +484,30 @@ def test_borel_act_equivariance_spot():
         borel_act(dk, undefined)
     with pytest.raises(ValueError, match="out of range"):
         borel_act(dk, OddRoot(1, 3, 1))
+
+
+@pytest.mark.parametrize("shape", [S23, S34, RectShape(2, 5)], ids=lambda s: f"{s.n}x{s.m}")
+def test_borel_act_swaps_the_adjacent_label_pair_of_the_root(shape):
+    """s(e_i - d_j) swaps the adjacent labels (i, -j) for s = + and (-j, i)
+    for s = -, negates that node's dbar coefficient and adds it to both
+    neighbours; where the pair is not adjacent in that order it is
+    undefined."""
+    size = shape.size
+    for d in range(3):
+        for cls in classes_at_degree(shape, d):
+            dk = borel_at(shape, cls.canonical).dk
+            at = {(dk.labels[t], dk.labels[(t + 1) % size]): t for t in range(size)}
+            for root in all_signed_roots(shape):
+                t = at.get((root.i, -root.j) if root.sign > 0 else (-root.j, root.i))
+                if t is None:
+                    with pytest.raises(UndefinedMorphism):
+                        borel_act(dk, root)
+                    continue
+                s = (t + 1) % size
+                labels, dbar = list(dk.labels), list(dk.dbar)
+                labels[t], labels[s] = labels[s], labels[t]
+                dbar[t - 1], dbar[s], dbar[t] = dbar[t - 1] + dbar[t], dbar[s] + dbar[t], -dbar[t]
+                assert borel_act(dk, root) == CyclicDK(shape, tuple(labels), tuple(dbar))
 
 
 @pytest.mark.parametrize("root", [OddRoot(1, 2, 4), OddRoot(-1, 3, 1)])

@@ -103,6 +103,45 @@ def test_class_command_with_refinement(capsys):
     assert sizes == [1, 1, 3]
 
 
+APPROX_PARTS = {
+    "2x3": ["2,2@-4", "1,1@-2", "0,0@0  3,0@-3  3,3@-6"],
+    "4x7": [
+        "6,5,4,1@12340",
+        "5,4,3,0@12344  7,5,4,3@12337",
+        "6,4,3,2@12341",
+        "5,3,2,1@12345",
+        "4,2,1,0@12349  7,4,2,1@12342",
+        "6,3,1,0@12346  7,6,3,1@12339",
+        "6,5,2,0@12343  7,6,5,2@12336",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("2x3", ["--n", "2", "--m", "3", "--word", "ddrrr"]),
+        ("4x7", ["--n", "4", "--m", "7", "--partition", "5,3,2,1", "--k", "12345"]),
+    ],
+)
+def test_class_refinement_parts_in_order(capsys, name, args):
+    """The refinement parts, their order and the order inside each, in
+    text and in JSON."""
+    want = APPROX_PARTS[name]
+    assert run(["class", *args, "--approx"]) == 0
+    out, _ = out_of(capsys)
+    assert [line for line in out.splitlines() if line.startswith("part ")] == [
+        f"part {t}:".ljust(11) + part for t, part in enumerate(want)
+    ]
+    assert run(["class", *args, "--approx", "--format", "json"]) == 0
+    out, _ = out_of(capsys)
+    parts = [
+        "  ".join(",".join(map(str, rep["partition"])) + f"@{rep['k']}" for rep in part)
+        for part in json.loads(out)["refinement"]
+    ]
+    assert parts == want
+
+
 def test_degree_command(capsys):
     assert run(["degree", "--n", "3", "--m", "4", "--d", "0", "--format", "json"]) == 0
     out, _ = out_of(capsys)
