@@ -41,10 +41,11 @@ each dbar coefficient by the sum of the node's e coefficients.
 The formula is checked, not assumed, and decoded as well as computed:
 ``site_pair`` reads a deletion site's anchored pair back from the cyclic
 diagram alone.  ``verify`` compares the formula with ``extend`` at the empty
-diagram and k = 0, with every node move and odd reflection out of every
-anchor in its window and with the decoder, and the tests compare it with a
-breadth-first search over those moves and reflections from the extension of
-the distinguished shuffle, and with rotating ``extend`` node by node.
+diagram and k = 0, with the deletion site of every anchor along its class,
+with every odd reflection out of every anchor in its window and with the
+decoder, and the tests compare it with a breadth-first search over the node
+moves and odd reflections from the extension of the distinguished shuffle,
+and with rotating ``extend`` node by node.
 """
 
 from typing import NamedTuple

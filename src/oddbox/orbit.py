@@ -121,6 +121,10 @@ class OrbitClass(NamedTuple):
     ``enumerate_class``, starting at the canonical pair that names the
     class.  Equality and hashing compare ``reps``, so they are class
     equality.
+
+    In rotation order the raw move of turn +1 out of ``reps[t]`` reaches
+    ``reps[t + 1]``; the ``verify`` check ``class-generators`` owns that.
+    ``out_edges``, ``approx_decompose`` and the Borel pairing read it.
     """
 
     shape: RectShape

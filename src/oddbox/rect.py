@@ -144,8 +144,15 @@ def all_diagrams(shape: RectShape):
 
 
 def dual(shape: RectShape, parts: Parts) -> Parts:
-    """Column lengths: entry j counts the parts of size at least j + 1."""
-    return tuple(sum(1 for p in parts if p > j) for j in range(shape.m))
+    """Column lengths: entry j counts the parts of size at least j + 1.  The
+    parts decrease, so the count falls as j rises: one pointer walks up the
+    parts from the smallest."""
+    out, count = [], len(parts)
+    for j in range(shape.m):
+        while count and parts[count - 1] <= j:
+            count -= 1
+        out.append(count)
+    return tuple(out)
 
 
 def word_of_diagram(shape: RectShape, parts: Parts) -> str:

@@ -57,17 +57,20 @@ def admits(shape: RectShape, parts: Parts, root: OddRoot) -> bool:
 
 
 def corners(shape: RectShape, parts: Parts) -> tuple[tuple[OddRoot, ...], tuple[OddRoot, ...]]:
-    """Outer (addable) and inner (removable) boxes, both as positive roots."""
+    """Outer (addable) and inner (removable) boxes, both as positive roots.
+
+    Row i can gain a box only at column row + 1 and lose one only at column
+    row, so each row tests those two columns against the column lengths.
+    """
     n = shape.n
     dl = dual(shape, parts)
     outer, inner = [], []
     for i in range(1, n + 1):
         row = parts[n - i]
-        for j in range(1, shape.m + 1):
-            if row == j - 1 and dl[j - 1] == n - i:
-                outer.append(OddRoot(1, i, j))
-            elif row == j and dl[j - 1] == n + 1 - i:
-                inner.append(OddRoot(1, i, j))
+        if row < shape.m and dl[row] == n - i:
+            outer.append(OddRoot(1, i, row + 1))
+        if row and dl[row - 1] == n + 1 - i:
+            inner.append(OddRoot(1, i, row))
     return tuple(outer), tuple(inner)
 
 

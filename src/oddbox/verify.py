@@ -20,8 +20,10 @@ can still read; no check keeps anything between degrees.  The checks keep
 their own references: the representative scan (``_scan``) of
 ``action-well-defined`` and ``refinement-bijection`` reads
 ``reflect.corners`` at every pair, not ``orbit.out_edges``, and
-``borel-equivariance`` reads every node move and odd reflection out of
-every representative itself.
+``borel-equivariance`` reads every odd reflection out of every
+representative itself.  The rotation order of a class has one owner,
+``class-generators``: ``borel-equivariance`` reads re-anchoring off it,
+one deletion site per representative, and moves no pair.
 """
 
 from typing import Callable, NamedTuple
@@ -270,25 +272,22 @@ def _class_anatomy(shape, table, d):
 
 
 def _class_generators(shape, table, d):
-    """Rotation enumeration matches the closure under the four raw moves."""
+    """This check owns the rotation order of a class: out of ``reps[t]``
+    the raw moves reach ``reps[t - 1]`` by turn -1 and ``reps[t + 1]`` by
+    turn +1 (``reflect.edge_turn``), indices cyclic, and nothing else."""
     bad = []
     for cls in table.classes(d):
-        closure = {cls.canonical}
-        frontier = [cls.canonical]
-        while frontier:
-            nxt = []
-            for pair in frontier:
-                for which in reflect.EDGE_OPS:
-                    try:
-                        q = orbit.raw_move(shape, pair, which)
-                    except reflect.NotEligible:
-                        continue
-                    if q not in closure:
-                        closure.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        if closure != set(cls.reps):
-            bad.append(f"raw generators disagree at {orbit.class_id(cls)}")
+        reps = cls.reps
+        for t, rep in enumerate(reps):
+            moves = []
+            for which in reflect.EDGE_OPS:
+                try:
+                    moves.append((reflect.edge_turn(which)[1], orbit.raw_move(shape, rep, which)))
+                except reflect.NotEligible:
+                    pass
+            if sorted(moves) != [(-1, reps[t - 1]), (1, reps[(t + 1) % len(reps)])]:
+                bad.append(f"raw generators disagree at {orbit.class_id(cls)}")
+                break
     return bad
 
 
@@ -501,20 +500,22 @@ def _borel_bijection(shape, table, d):
 
 def _borel_equivariance(shape, table, d):
     """The closed-form pairing starts at the extension of the distinguished
-    shuffle, checked at ``table.lo``, and agrees with every node move and odd
-    reflection out of every anchor in the window.  The class action, read
-    from the table's ``out_edges``, and the Borel action, which reads only
-    the cyclic diagram, agree on every class and root of the window, so
-    with ``borel-bijection`` making the vertex map a bijection, this is the
-    labelled Cayley-graph isomorphism on the window.  Each reflected diagram
-    keeps its node sum dbar: ``CyclicDK.reflect`` negates the node and adds
-    it to both neighbours, so the sum cannot change, and
+    shuffle, checked at ``table.lo``, re-anchors along each class and agrees
+    with every odd reflection out of every anchor in the window.  The class
+    action, read from the table's ``out_edges``, and the Borel action, which
+    reads only the cyclic diagram, agree on every class and root of the
+    window, so with ``borel-bijection`` making the vertex map a bijection,
+    this is the labelled Cayley-graph isomorphism on the window.  Each
+    reflected diagram keeps its node sum dbar: ``CyclicDK.reflect`` negates
+    the node and adds it to both neighbours, so the sum cannot change, and
     ``borel-invariants`` checks it on the table's Borels.
 
-    Node moves compare each representative's Borel with its neighbour's, so
-    a class reflects its canonical's diagram once per grey node and pairs
-    each flip with the ``affine.reflected_pairs`` of every representative; a
-    node grey there but not on the canonical has no flip and disagrees.
+    A row/column move keeps the cyclic diagram and steps the deleted node by
+    its turn, and ``class-generators`` owns the order of ``reps``, so the
+    Borel of ``reps[t]`` deletes the node t places after the canonical's;
+    the reflections of a representative that disagrees are skipped.  Each
+    grey node of the canonical's diagram is reflected once, and the flip
+    paired with the ``affine.reflected_pairs`` of every representative.
     Degree d reads the table's anchors of degrees d - 1..d + 1."""
     bad = []
     borel = table.borel
@@ -524,19 +525,18 @@ def _borel_equivariance(shape, table, d):
     roots = orbit.all_signed_roots(shape)
     edges_of = table.edges(d)
     for cls in table.classes(d):
-        dk = borel(cls.canonical).dk
+        first = borel(cls.canonical)
+        dk = first.dk
         flips = {t: dk.reflect(t) for t, grey in enumerate(dk.greys) if grey}
-        for rep in cls.reps:
+        for t, rep in enumerate(cls.reps):
             b = borel(rep)
-            steps = [affine.FiniteBorel(flips.get(t), b.deleted, pair) for t, pair in affine.reflected_pairs(b).items()]
-            for which in reflect.EDGE_OPS:
-                try:
-                    steps.append(affine.node_move(b, which))
-                except reflect.NotEligible:
-                    pass
-            for nb in steps:
-                if nb != borel(nb.pair):
-                    bad.append(f"a move or reflection from {orbit.pair_id(rep)} disagrees at {orbit.pair_id(nb.pair)}")
+            site = (first.deleted + t) % dk.size
+            if b != affine.FiniteBorel(dk, site, rep):
+                bad.append(f"the Borel of {orbit.pair_id(rep)} disagrees with {orbit.class_id(cls)} at node {site}")
+                continue
+            for u, pair in affine.reflected_pairs(b).items():
+                if affine.FiniteBorel(flips[u], b.deleted, pair) != borel(pair):
+                    bad.append(f"a reflection from {orbit.pair_id(rep)} disagrees at {orbit.pair_id(pair)}")
         edges = edges_of[cls]
         for root in roots:
             image = edges.get(root)
@@ -607,11 +607,14 @@ _CLASS_LEVEL = (
 def run_all(shape: rect.RectShape, lo: int | None = None, hi: int | None = None) -> list[CheckResult]:
     """Run every applicable check; class-level sweeps default to one period.
 
-    The degree window lo..hi is half-open, so it must satisfy lo < hi.  A box
-    of more than ``orbit.MAX_GRAPH_VERTICES`` diagrams, or a window of more
-    classes, raises ``GraphTooLarge`` before any check runs.
+    The degree window lo..hi is half-open, so it must satisfy lo < hi, and
+    takes both ends or neither.  A box of more than
+    ``orbit.MAX_GRAPH_VERTICES`` diagrams, or a window of more classes,
+    raises ``GraphTooLarge`` before any check runs.
     """
-    if lo is None or hi is None:
+    if (lo is None) != (hi is None):
+        raise ValueError(f"verify windows are half-open LO:HI and need both ends, got {lo}:{hi}")
+    if lo is None:
         lo, hi = 0, shape.n * shape.m
     if lo >= hi:
         raise ValueError(f"verify windows are half-open, so LO:HI needs LO < HI, got {lo}:{hi}")

@@ -1,7 +1,9 @@
-import pytest
-from hypothesis import given, strategies as st
+from collections import Counter
 
-from conftest import ALL_SHAPES, oracle_word
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import ALL_SHAPES, boxes, oracle_word
 from oddbox import verify
 from oddbox.rect import (
     NonCoprimeShape,
@@ -52,6 +54,14 @@ def test_dual_matches_column_heights():
                 for j in range(1, shape.m + 1)
             )
             assert dual(shape, parts) == heights
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.sampled_from([RectShape(40, 41), RectShape(97, 100)]), st.data())
+def test_dual_matches_column_heights_past_the_exhaustive_range(shape, data):
+    parts = diagram_of_word(shape, "".join(data.draw(st.permutations("r" * shape.m + "d" * shape.n))))
+    heights = Counter(j for _, j in boxes(shape, parts))
+    assert dual(shape, parts) == tuple(heights[j] for j in range(1, shape.m + 1))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import ALL_SHAPES, oracle_corners
 from oddbox import verify
@@ -7,6 +7,7 @@ from oddbox.rect import (
     OddRoot,
     RectShape,
     all_diagrams,
+    diagram_of_word,
     parse_shuffle,
     render_shuffle,
     rotate_root,
@@ -76,6 +77,16 @@ def test_corners_match_box_surgery_oracle():
             for root in signed_roots(shape):
                 member = (root.i, root.j) in (expect_outer if root.sign > 0 else expect_inner)
                 assert admits(shape, parts, root) == member
+
+
+@settings(deadline=None, max_examples=10, phases=(Phase.reuse, Phase.generate))
+@given(st.sampled_from([RectShape(17, 19), RectShape(40, 41)]), st.data())
+def test_corners_match_box_surgery_oracle_past_the_exhaustive_range(shape, data):
+    """Corners test two columns per row; the oracle tries every box, at a
+    cost quadratic in the box, so a failure is reported unshrunk."""
+    parts = diagram_of_word(shape, "".join(data.draw(st.permutations("r" * shape.m + "d" * shape.n))))
+    outer, inner = corners(shape, parts)
+    assert ({(r.i, r.j) for r in outer}, {(r.i, r.j) for r in inner}) == oracle_corners(shape, parts)
 
 
 @pytest.mark.parametrize(

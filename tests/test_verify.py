@@ -38,7 +38,7 @@ def test_shape_guard_catches_a_class_operation_that_accepts_any_shape(monkeypatc
 def test_window_override_is_respected():
     results = run_all(RectShape(2, 3), 0, 2)
     assert all(r.ok for r in results)
-    for lo, hi in ((3, 3), (5, 1)):
+    for lo, hi in ((3, 3), (5, 1), (5, None), (None, 2)):
         with pytest.raises(ValueError, match="half-open"):
             run_all(RectShape(2, 3), lo, hi)
 
@@ -142,6 +142,34 @@ def test_borel_equivariance_catches_a_reflection_off_the_node_sum(monkeypatch):
     bad = class_check(verify._borel_equivariance, RectShape(2, 3), (0, 6))
     assert any("disagrees" in v for v in bad)
     assert any("equivariance fails" in v for v in bad)
+
+
+def test_class_generators_catches_two_representatives_out_of_rotation_order(monkeypatch):
+    """Swapping reps[2] and reps[3] keeps each class's set of pairs, so a
+    closure under the raw moves cannot see it; the moves out of reps[1]
+    reach reps[3] by turn +1, not the new reps[2]."""
+    exact = orbit.classes_at_degree
+
+    def swapped(shape, d):
+        return tuple(
+            orbit.OrbitClass(shape, c.reps[:2] + (c.reps[3], c.reps[2]) + c.reps[4:]) for c in exact(shape, d)
+        )
+
+    monkeypatch.setattr(orbit, "classes_at_degree", swapped)
+    bad = class_check(verify._class_generators, RectShape(3, 4), (0, 12))
+    assert bad and all("raw generators disagree" in v for v in bad)
+
+
+def test_borel_equivariance_moves_no_pair(monkeypatch):
+    """Re-anchoring along a class is read off the rotation order that
+    ``class-generators`` owns, so the check makes no row/column move."""
+
+    def refuse(*args):
+        raise AssertionError("borel-equivariance made a row/column move")
+
+    monkeypatch.setattr(orbit, "raw_move", refuse)
+    monkeypatch.setattr(affine, "node_move", refuse)
+    assert class_check(verify._borel_equivariance, RectShape(3, 4), (0, 12)) == []
 
 
 def test_borel_bijection_catches_a_borel_a_period_away_from_its_label(monkeypatch):
