@@ -56,18 +56,14 @@ from .orbit import (
 from .affine import (
     BorelAtlas,
     CyclicDK,
-    DeletedNode,
     FiniteBorel,
     GlobalRoot,
     NotIsotropic,
     NotTypeA,
-    affine_reflect,
     borel_act,
     borel_at,
     class_of_borel,
-    dta_words,
     extend,
-    node_move,
     reflected_pairs,
     site_pairs,
 )

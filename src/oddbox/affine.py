@@ -40,12 +40,14 @@ Raising k by mn lowers c by one, so it rotates the positions by m and raises
 each dbar coefficient by the sum of the node's e coefficients.
 The formula is checked, not assumed, and decoded as well as computed:
 ``site_pair`` reads a deletion site's anchored pair back from the cyclic
-diagram alone.  ``verify`` compares the formula with ``extend`` at the empty
-diagram and k = 0, with the deletion site of every anchor along its class,
-with every odd reflection out of every anchor in its window and with the
-decoder, and the tests compare it with a breadth-first search over the node
-moves and odd reflections from the extension of the distinguished shuffle,
-and with rotating ``extend`` node by node.
+diagram alone, and is the one reader of a diagram's words (the ``borel``
+command prints them).  ``verify`` compares the formula with ``extend`` at
+the empty diagram and k = 0, with the deletion site of every anchor along
+its class, with every odd reflection out of every anchor in its window and
+with the decoder.  The tests compare it with rotating ``extend`` node by
+node, and with a breadth-first search from the extension of the
+distinguished shuffle that takes its own steps: row/column moves with the
+site step above, and ``CyclicDK.reflect`` with ``reflected_pairs``.
 """
 
 from typing import NamedTuple
@@ -62,27 +64,21 @@ from .rect import (
     diagram_of_shuffle,
     diagram_of_word,
     render_root,
-    rotate_word,
     shuffle_of_diagram,
     solve_rotation,
 )
-from .reflect import edge_turn, pair_root, t_apply
+from .reflect import pair_root, t_apply
 from .orbit import (
     AnchoredPair,
     OrbitClass,
     UndefinedMorphism,
     enumerate_class,
-    raw_move,
     require_class_shape,
 )
 
 
 class NotIsotropic(DomainError):
     """Reflections exist only at grey (isotropic) nodes."""
-
-
-class DeletedNode(DomainError):
-    """The deleted node is not a simple root and cannot be reflected."""
 
 
 class NotTypeA(DomainError):
@@ -222,13 +218,6 @@ def extend(shape: RectShape, shuf: Shuffle) -> FiniteBorel:
     return FiniteBorel(dk, 0, AnchoredPair(diagram_of_shuffle(shape, shuf), 0))
 
 
-def node_move(b: FiniteBorel, which: str) -> FiniteBorel:
-    """Re-anchor a Borel by one row/column move; the cyclic diagram is
-    unchanged and the deletion site steps by the move's turn of the word."""
-    _, turn = edge_turn(which)
-    return FiniteBorel(b.dk, (b.deleted + turn) % b.dk.size, raw_move(b.shape, b.pair, which))
-
-
 def reflected_pairs(b: FiniteBorel) -> dict[int, AnchoredPair]:
     """For each grey, undeleted node, the local pair after the odd reflection
     there: the diagram gains or loses the box under the node, at the same k.
@@ -250,15 +239,6 @@ def reflected_pairs(b: FiniteBorel) -> dict[int, AnchoredPair]:
     return out
 
 
-def affine_reflect(b: FiniteBorel, node: int) -> FiniteBorel:
-    """Odd reflection at a grey, undeleted node: ``CyclicDK.reflect`` on the
-    cyclic diagram and ``reflected_pairs`` on the local pair."""
-    node %= b.dk.size
-    if node == b.deleted:
-        raise DeletedNode(f"node {node} is the deleted node")
-    return FiniteBorel(b.dk.reflect(node), b.deleted, reflected_pairs(b)[node])
-
-
 def borel_act(dk: CyclicDK, root: OddRoot) -> CyclicDK:
     """Swap the adjacent labels of s(e_i - d_j), (i, -j) for s = + and
     (-j, i) for s = -: the reflection at that node, which is grey."""
@@ -268,40 +248,6 @@ def borel_act(dk: CyclicDK, root: OddRoot) -> CyclicDK:
     if dk.labels[(node + 1) % dk.size] == down:
         return dk.reflect(node)
     raise UndefinedMorphism(f"{render_root(root)} undefined on this Borel")
-
-
-def words_from_greys(shape: RectShape, greys) -> str:
-    """Recover the border word read off a cyclic grey/white pattern.
-
-    Edge labels start after node 0, keep their letter across white nodes
-    and flip across grey ones; of the two letter assignments the one with
-    m letters ``r`` wins.
-    """
-    if shape.n == shape.m:
-        raise ShapeUnsupported("cyclic diagrams encode words only for n != m")
-    greys = tuple(bool(g) for g in greys)
-    if len(greys) != shape.size:
-        raise ValueError(f"expected {shape.size} parities, got {len(greys)}")
-    if sum(greys) % 2:
-        raise NotTypeA("odd number of grey nodes: edge labels are inconsistent")
-    flip = {"r": "d", "d": "r"}
-    letters = ["r"]
-    for t in range(1, shape.size):
-        prev = letters[-1]
-        letters.append(flip[prev] if greys[t] else prev)
-    word = "".join(letters)
-    rs = word.count("r")
-    if rs == shape.n:
-        word = "".join(flip[ch] for ch in word)
-    elif rs != shape.m:
-        raise NotTypeA(f"edge labels give {rs} r's, expected {shape.m} or {shape.n}")
-    return word
-
-
-def dta_words(dk: CyclicDK) -> tuple[str, ...]:
-    """One border word per node: entry i is the word anchored at deletion site i."""
-    w0 = words_from_greys(dk.shape, dk.greys)
-    return tuple(rotate_word(w0, i) for i in range(dk.size))
 
 
 def borel_at(shape: RectShape, pair) -> FiniteBorel:

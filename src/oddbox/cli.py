@@ -223,7 +223,8 @@ def cmd_borel(args) -> int:
     pair = orbit.AnchoredPair(parts, args.k)
     cls = orbit.enumerate_class(shape, pair)
     b = affine.borel_at(shape, pair)
-    words = affine.dta_words(b.dk)
+    # entry s: the border word of the pair that deletes node s, as the decoder reads it
+    words = [word_of_diagram(shape, q.diagram) for q in affine.site_pairs(b.dk)]
     lines = [
         f"borel of:      {render_diagram(parts)} @ {args.k}   (class {orbit.class_id(cls)})",
         "simple roots:  " + ", ".join(r.render() for r in b.simple_global()),
@@ -238,7 +239,7 @@ def cmd_borel(args) -> int:
     obj = {"n": shape.n, "m": shape.m, "class": orbit.class_json(cls)}
     obj.update(affine.borel_json(b))
     obj["simple_roots"] = [r.render() for r in b.simple_global()]
-    obj["words"] = list(words)
+    obj["words"] = words
     _emit(args, lines, obj)
     return 0
 

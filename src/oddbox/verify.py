@@ -369,12 +369,21 @@ def _plain_embedding(shape, table, d):
 
 
 def _degree_counts(shape, table, d):
+    """Degree d holds ``classes_per_degree`` classes, C(m+n-2, n-1)
+    positive out-edges and as many negative ones (the rational Narayana
+    total), and raising k by mn maps its classes onto those of d + mn."""
     bad = []
     mn = shape.n * shape.m
     expect = orbit.classes_per_degree(shape)
     now = table.classes(d)
     if len(now) != expect:
         bad.append(f"degree {d} has {len(now)} classes, expected {expect}")
+    edges = comb(shape.size - 2, shape.n - 1)
+    signs = [root.sign for out in table.edges(d).values() for root in out]
+    if signs.count(1) != edges or signs.count(-1) != edges:
+        bad.append(
+            f"degree {d} has {signs.count(1)} positive and {signs.count(-1)} negative out-edges, expected {edges} each"
+        )
     shifted = {orbit.canonical_pair(shape, (c.canonical.diagram, c.canonical.k + mn)) for c in now}
     later = {c.canonical for c in table.classes(d + mn)}
     if shifted != later:

@@ -1,8 +1,9 @@
-"""Shared shape lists and independent oracles for the test suite."""
+"""Shared shape lists, helpers, and independent oracles and references for
+the test suite."""
 
 from collections import deque
 
-from oddbox.affine import affine_reflect, extend, node_move
+from oddbox.affine import FiniteBorel, NotTypeA, extend, reflected_pairs, site_pairs
 from oddbox.orbit import (
     AnchoredPair,
     MorphismGraph,
@@ -11,19 +12,22 @@ from oddbox.orbit import (
     class_id,
     class_json,
     enumerate_class,
+    raw_move,
 )
 from oddbox.rect import (
     RectShape,
+    ShapeUnsupported,
     all_diagrams,
     diagram_of_word,
     identity_shuffle,
     render_root,
     rotate_root,
+    rotate_word,
     shuffle_of_diagram,
     solve_rotation,
     word_of_diagram,
 )
-from oddbox.reflect import EDGE_OPS, NotEligible, admits, diagram_edge, t_apply
+from oddbox.reflect import EDGE_OPS, NotEligible, admits, diagram_edge, edge_turn, t_apply
 from oddbox.verify import _sweep
 
 # every shape with m + n <= 9, and the coprime ones among them
@@ -111,6 +115,61 @@ def oracle_word(shape, parts):
             word.append("r")
             b += 1
     return "".join(word)
+
+
+def node_move(b, which):
+    """Re-anchor a Borel by one row/column move: the cyclic diagram is
+    unchanged and the deletion site steps by the move's turn of the word."""
+    turn = edge_turn(which)[1]
+    return FiniteBorel(b.dk, (b.deleted + turn) % b.dk.size, raw_move(b.shape, b.pair, which))
+
+
+def affine_reflect(b, node):
+    """Odd reflection at a grey, undeleted node: ``CyclicDK.reflect`` on the
+    cyclic diagram and ``reflected_pairs`` on the local pair."""
+    return FiniteBorel(b.dk.reflect(node), b.deleted, reflected_pairs(b)[node])
+
+
+def words_from_greys(shape, greys):
+    """The paper's word extraction: the border word read off a cyclic
+    grey/white pattern.
+
+    Edge labels start after node 0, keep their letter across white nodes
+    and flip across grey ones; of the two letter assignments the one with
+    m letters ``r`` wins.
+    """
+    if shape.n == shape.m:
+        raise ShapeUnsupported("cyclic diagrams encode words only for n != m")
+    greys = tuple(bool(g) for g in greys)
+    if len(greys) != shape.size:
+        raise ValueError(f"expected {shape.size} parities, got {len(greys)}")
+    if sum(greys) % 2:
+        raise NotTypeA("odd number of grey nodes: edge labels are inconsistent")
+    flip = {"r": "d", "d": "r"}
+    letters = ["r"]
+    for t in range(1, shape.size):
+        prev = letters[-1]
+        letters.append(flip[prev] if greys[t] else prev)
+    word = "".join(letters)
+    rs = word.count("r")
+    if rs == shape.n:
+        word = "".join(flip[ch] for ch in word)
+    elif rs != shape.m:
+        raise NotTypeA(f"edge labels give {rs} r's, expected {shape.m} or {shape.n}")
+    return word
+
+
+def dta_words(dk):
+    """One border word per node by the grey pattern: entry i is the word
+    anchored at deletion site i."""
+    w0 = words_from_greys(dk.shape, dk.greys)
+    return tuple(rotate_word(w0, i) for i in range(dk.size))
+
+
+def site_words(dk):
+    """One border word per node by the decoder, as the ``borel`` command
+    prints them: entry s is the word of ``site_pairs(dk)[s]``."""
+    return tuple(word_of_diagram(dk.shape, q.diagram) for q in site_pairs(dk))
 
 
 def oracle_steps(b):

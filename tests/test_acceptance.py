@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import class_check, closure_by_raw_moves
+from conftest import class_check, closure_by_raw_moves, site_words, words_from_greys
 from oddbox import affine, orbit, rect, verify
 
 SIX_SHAPES = [rect.RectShape(*nm) for nm in [(1, 2), (2, 3), (3, 4), (2, 5), (3, 5), (4, 5)]]
@@ -118,14 +118,14 @@ def test_05_word_extraction_reproduction():
     patterns = {(0, 2): "ddrrr", (0, 3): "rrrdd", (1, 2, 3, 4): "rdrdr"}
     for greys, word in patterns.items():
         flags = [t in greys for t in range(5)]
-        got = affine.words_from_greys(S23, flags)
+        got = words_from_greys(S23, flags)
         if got != word:
             bad.append(f"greys {greys}: got {got}")
         b = affine.extend(S23, rect.shuffle_of_word(S23, word))
         if tuple(t for t, g in enumerate(b.dk.greys) if g) != greys:
             bad.append(f"extend({word}) has greys {b.dk.greys}")
     first = affine.extend(S23, rect.identity_shuffle(S23)).dk
-    words = affine.dta_words(first)
+    words = site_words(first)
     if words != tuple(rect.rotate_word("ddrrr", i) for i in range(5)):
         bad.append(f"rotation family wrong: {words}")
     report(5, bad)

@@ -7,21 +7,16 @@ from oddbox import affine
 from oddbox.affine import (
     BorelAtlas,
     CyclicDK,
-    DeletedNode,
     GlobalRoot,
     NotIsotropic,
     NotTypeA,
-    affine_reflect,
     borel_act,
     borel_at,
     borel_json,
     class_of_borel,
-    dta_words,
     extend,
-    node_move,
     reflected_pairs,
     site_pairs,
-    words_from_greys,
 )
 from oddbox.orbit import AnchoredPair, UndefinedMorphism, act, all_signed_roots, classes_at_degree, enumerate_class
 from oddbox.rect import (
@@ -41,13 +36,18 @@ from oddbox.reflect import NotEligible
 
 from conftest import (
     CLASS_SHAPES,
+    affine_reflect,
     dense,
     dense_borel,
+    dta_words,
+    node_move,
     oracle_borel_at,
     oracle_borel_search,
     oracle_enumerate_class,
     oracle_scan,
     oracle_steps,
+    site_words,
+    words_from_greys,
 )
 
 S23 = RectShape(2, 3)
@@ -254,8 +254,6 @@ def test_node_move_keeps_local_in_same_class():
 
 def test_affine_reflect_guards_and_involution():
     b = extend(S23, identity_shuffle(S23))
-    with pytest.raises(DeletedNode):
-        affine_reflect(b, 0)
     with pytest.raises(NotIsotropic):
         affine_reflect(b, 1)
     twice = affine_reflect(affine_reflect(b, 2), 2)
@@ -325,10 +323,15 @@ def test_words_from_grey_patterns(greys, word):
 
 
 def test_dta_words_examples():
-    words = dta_words(extend(S23, identity_shuffle(S23)).dk)
+    """The grey-pattern reference and the decoder's words agree."""
+    dk = extend(S23, identity_shuffle(S23)).dk
+    words = dta_words(dk)
     assert words == ("ddrrr", "drrrd", "rrrdd", "rrddr", "rddrr")
     assert all(words[i] == rotate_word(words[0], i) for i in range(5))
-    assert dta_words(extend(S23, shuffle_of_diagram(S23, (3, 3))).dk)[0] == "rrrdd"
+    assert site_words(dk) == words
+    dk33 = extend(S23, shuffle_of_diagram(S23, (3, 3))).dk
+    assert dta_words(dk33)[0] == "rrrdd"
+    assert site_words(dk33)[0] == "rrrdd"
 
 
 def test_dta_words_match_extend_grey_patterns():
@@ -338,6 +341,7 @@ def test_dta_words_match_extend_grey_patterns():
         b = extend(S23, shuffle_of_word(S23, word))
         assert tuple(t for t, g in enumerate(b.dk.greys) if g) == greys
         assert dta_words(b.dk)[0] == word
+        assert site_words(b.dk)[0] == word
 
 
 def test_words_from_greys_rejections():
@@ -409,9 +413,17 @@ def big_anchors():
 def test_site_pairs_sampled_past_the_exhaustive_range():
     """On big boxes and far rotation numbers, the deleted node reads back the
     pair the Borel was built for, the sites read its class, and their words
-    are the rotations of its word.  ``dta_words``, an independent reader of
-    the grey pattern, gives the same words."""
+    are the rotations of its word.  ``conftest.dta_words``, the paper's
+    reader of the grey pattern, gives the same words there and on the
+    canonical Borel of every class over one period of every shape with
+    m + n <= 9."""
     from hypothesis import given, settings
+
+    for shape in CLASS_SHAPES:
+        for d in range(shape.n * shape.m):
+            for cls in classes_at_degree(shape, d):
+                dk = borel_at(shape, cls.canonical).dk
+                assert site_words(dk) == dta_words(dk), (shape, cls.canonical)
 
     @settings(deadline=None, max_examples=60)
     @given(big_anchors())

@@ -168,7 +168,6 @@ def test_borel_equivariance_moves_no_pair(monkeypatch):
         raise AssertionError("borel-equivariance made a row/column move")
 
     monkeypatch.setattr(orbit, "raw_move", refuse)
-    monkeypatch.setattr(affine, "node_move", refuse)
     assert class_check(verify._borel_equivariance, RectShape(3, 4), (0, 12)) == []
 
 
@@ -247,6 +246,25 @@ def test_degree_shift_catches_an_action_that_sees_the_parity_of_k(monkeypatch):
     results = {r.name: r for r in run_all(RectShape(2, 3))}
     assert not results["degree-shift"].ok
     assert "does not commute with the shift" in results["degree-shift"].detail
+
+
+def test_degree_counts_catches_an_out_edge_dropped_on_one_class(monkeypatch):
+    """Each degree holds C(m+n-2, n-1) positive out-edges and as many
+    negative ones; an out_edges that drops the least root of one class
+    leaves its degree one negative edge short, and no other degree."""
+    exact = orbit.out_edges
+    shape = RectShape(3, 4)
+    victim = orbit.classes_at_degree(shape, 5)[2]
+
+    def drop_one(cls):
+        edges = dict(exact(cls))
+        if cls == victim:
+            del edges[min(edges)]
+        return edges
+
+    monkeypatch.setattr(orbit, "out_edges", drop_one)
+    bad = class_check(verify._degree_counts, shape, (0, 12))
+    assert bad == ["degree 5 has 10 positive and 9 negative out-edges, expected 10 each"]
 
 
 @pytest.mark.parametrize(
