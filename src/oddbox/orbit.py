@@ -32,16 +32,17 @@ reach: every root lands in one class, whichever representative it is
 applied at, which is what makes the action well defined.
 
 Row moves alone refine each class into m chains (``row_class``), each a
-tuple of pairs; the ``refinement-bijection`` check of the verification
-suite acts on a chain through the same scan.
+tuple of pairs grown by ``raw_move``; the ``refinement-bijection`` check of
+the verification suite acts on a chain through the same scan.
 
 Shifting every rotation number by one, ``(diagram, k) -> (diagram, k + 1)``,
 maps the classes of degree d onto those of degree d + 1 and commutes with the
 action up to a fixed rotation of the roots: ``act(c.shifted(1), r)`` is
 ``act(c, rho(r)).shifted(1)`` with ``rho`` the root rotation of k = 1.  So
-``build_graph`` computes one degree's edges and relabels them for every other
-degree of its window; the ``degree-shift`` check of the verification suite
-tests both facts.  Everything here is an immutable value.
+``build_graph`` reads each out-edge of one degree once and relabels it for
+every degree of its window, turning its root back by ``rho`` once per degree;
+the ``degree-shift`` check of the verification suite tests both facts.
+Everything here is an immutable value.
 """
 
 from itertools import groupby
@@ -273,20 +274,15 @@ def classes_per_degree(shape: RectShape) -> int:
 
 
 def row_class(shape: RectShape, pair) -> tuple[AnchoredPair, ...]:
-    """The chain of a pair under "delete/restore a full bottom row", k
-    ascending."""
+    """The chain of a pair under "delete/restore a full bottom row"
+    (``raw_move`` by "-r" and "+r"), k ascending."""
     require_class_shape(shape)
-    parts, k = tuple(pair[0]), pair[1]
-    check_diagram(shape, parts)
-    chain = [AnchoredPair(parts, k)]
-    p, kk = parts, k
-    while p[0] == shape.m:
-        p, kk = p[1:] + (0,), kk + shape.m
-        chain.append(AnchoredPair(p, kk))
-    p, kk = parts, k
-    while p[-1] == 0:
-        p, kk = (shape.m,) + p[:-1], kk - shape.m
-        chain.insert(0, AnchoredPair(p, kk))
+    chain = [AnchoredPair(tuple(pair[0]), pair[1])]
+    check_diagram(shape, chain[0].diagram)
+    while chain[-1].diagram[0] == shape.m:
+        chain.append(raw_move(shape, chain[-1], "-r"))
+    while chain[0].diagram[-1] == 0:
+        chain.insert(0, raw_move(shape, chain[0], "+r"))
     return tuple(chain)
 
 
@@ -326,13 +322,13 @@ class MorphismGraph(NamedTuple):
 def build_graph(shape: RectShape, lo: int, hi: int, mode: str = "hasse") -> MorphismGraph:
     """The classes of degrees lo..hi (inclusive) and their morphism edges.
 
-    Only degree lo is enumerated and acted on.  The vertex for shift
-    s = 0..hi-lo and base class t is base class t shifted by s, at index
-    s*P + t for P classes per degree.  Its edge by root r is the base edge by
-    r rotated s times by ``solve_rotation(shape, 1)``, shifted by s; the
-    target keeps its canonical diagram, which names it among the P classes of
-    its degree.  Windows of more than ``MAX_GRAPH_VERTICES`` classes raise
-    ``GraphTooLarge`` before any class is enumerated.
+    Only degree lo is enumerated, and each out-edge of its P classes is read
+    once.  Base class t shifted by s = 0..hi-lo is vertex s*P + t.  A base
+    edge from t by root r of sign e reaches the class whose canonical diagram
+    has rank u; at each shift s with s + e in the window it is the edge from
+    s*P + t to (s + e)*P + u by r rotated back s times by
+    ``solve_rotation(shape, 1)``.  Hasse mode skips negative roots.  Windows
+    of more than ``MAX_GRAPH_VERTICES`` classes raise ``GraphTooLarge`` first.
     """
     if mode not in ("hasse", "cayley"):
         raise ValueError(f"mode must be hasse or cayley, got {mode!r}")
@@ -343,24 +339,16 @@ def build_graph(shape: RectShape, lo: int, hi: int, mode: str = "hasse") -> Morp
     _refuse_over_cap(shape, per_degree * span, f"classes in degrees {lo}..{hi}")
     base = classes_at_degree(shape, lo)
     rank = {c.canonical.diagram: t for t, c in enumerate(base)}
-    signs = (1,) if mode == "hasse" else (1, -1)
-    roots = all_signed_roots(shape, signs)
-    targets: dict[tuple[int, OddRoot], int] = {}
-    for t, cls in enumerate(base):
-        for root, image in out_edges(cls).items():
-            if root.sign in signs:
-                targets[t, root] = rank[image.diagram]
     i1, j1 = solve_rotation(shape, 1)
     edges = []
-    for s in range(span):
-        for root in roots:
-            if not 0 <= s + root.sign < span:
+    for t, cls in enumerate(base):
+        for root, image in out_edges(cls).items():
+            if mode == "hasse" and root.sign < 0:
                 continue
-            seen_from = rotate_root(shape, root, s * i1, s * j1)
-            for t in range(per_degree):
-                u = targets.get((t, seen_from))
-                if u is not None:
-                    edges.append((s * per_degree + t, (s + root.sign) * per_degree + u, root))
+            u = rank[image.diagram]
+            for s in range(max(0, -root.sign), min(span, span - root.sign)):
+                shifted = rotate_root(shape, root, -s * i1, -s * j1)
+                edges.append((s * per_degree + t, (s + root.sign) * per_degree + u, shifted))
     vertices = tuple(c.shifted(s) for s in range(span) for c in base)
     return MorphismGraph(shape, mode, lo, hi, vertices, tuple(sorted(edges)))
 

@@ -26,6 +26,7 @@ representative itself.  The rotation order of a class has one owner,
 one deletion site per representative, and moves no pair.
 """
 
+from collections import Counter
 from typing import Callable, NamedTuple
 
 from math import comb, gcd
@@ -371,7 +372,9 @@ def _plain_embedding(shape, table, d):
 def _degree_counts(shape, table, d):
     """Degree d holds ``classes_per_degree`` classes, C(m+n-2, n-1)
     positive out-edges and as many negative ones (the rational Narayana
-    total), and raising k by mn maps its classes onto those of d + mn."""
+    total), C(n, j) * C(m-1, j-1) / n classes of j positive out-edges and as
+    many of j negative ones (the rational Narayana numbers, checked when the
+    totals hold), and raising k by mn maps its classes onto those of d + mn."""
     bad = []
     mn = shape.n * shape.m
     expect = orbit.classes_per_degree(shape)
@@ -384,6 +387,13 @@ def _degree_counts(shape, table, d):
         bad.append(
             f"degree {d} has {signs.count(1)} positive and {signs.count(-1)} negative out-edges, expected {edges} each"
         )
+    else:
+        nar = {j: comb(shape.n, j) * comb(shape.m - 1, j - 1) // shape.n for j in range(1, min(shape) + 1)}
+        for sign, name in ((1, "positive"), (-1, "negative")):
+            held = Counter(sum(root.sign == sign for root in out) for out in table.edges(d).values())
+            if held != Counter(nar):
+                held = dict(sorted(held.items()))
+                bad.append(f"degree {d} counts {held} classes per number of {name} out-edges, expected {nar}")
     shifted = {orbit.canonical_pair(shape, (c.canonical.diagram, c.canonical.k + mn)) for c in now}
     later = {c.canonical for c in table.classes(d + mn)}
     if shifted != later:
@@ -578,13 +588,13 @@ def _noncoprime_guard(shape, window):
     g = gcd(shape.n, shape.m)
     a, bb = shape.n // g, shape.m // g
     lam = (shape.m,) * shape.n
-    mu, kmu = lam, -shape.m * (shape.n - a)
+    mu = orbit.AnchoredPair(lam, -shape.m * (shape.n - a))
     for _ in range(shape.n - a):
-        mu, kmu = reflect.diagram_edge(shape, mu, "-r"), kmu + shape.m
-    xi, kxi = lam, -shape.n * (shape.m - bb)
+        mu = orbit.raw_move(shape, mu, "-r")
+    xi = orbit.AnchoredPair(lam, -shape.n * (shape.m - bb))
     for _ in range(shape.m - bb):
-        xi, kxi = reflect.diagram_edge(shape, xi, "-c"), kxi + shape.n
-    if kmu != 0 or kxi != 0 or mu == xi:
+        xi = orbit.raw_move(shape, xi, "-c")
+    if mu.k != 0 or xi.k != 0 or mu.diagram == xi.diagram:
         bad.append("could not reproduce the colliding chain from the raw generators")
     return bad
 

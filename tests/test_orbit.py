@@ -416,7 +416,10 @@ def test_graph_json_renders_each_diagram_once(monkeypatch):
 
 
 def test_build_graph_acts_on_one_degree_only(monkeypatch):
-    calls = {"classes_at_degree": 0, "out_edges": 0}
+    """One degree is enumerated and acted on, and each graph edge costs at
+    most one root rotation on top of the one ``out_edges`` makes per base
+    out-edge."""
+    calls = {"classes_at_degree": 0, "out_edges": 0, "rotate_root": 0}
 
     def counting(name):
         exact = getattr(orbit, name)
@@ -433,6 +436,8 @@ def test_build_graph_acts_on_one_degree_only(monkeypatch):
     assert len(graph.vertices) == 51 * classes_per_degree(S34)
     assert calls["classes_at_degree"] == 1
     assert calls["out_edges"] == classes_per_degree(S34)
+    base_edges = 2 * comb(S34.size - 2, S34.n - 1)
+    assert calls["rotate_root"] <= len(graph.edges) + base_edges
 
 
 def test_build_graph_refuses_windows_over_the_vertex_cap(monkeypatch):

@@ -267,6 +267,31 @@ def test_degree_counts_catches_an_out_edge_dropped_on_one_class(monkeypatch):
     assert bad == ["degree 5 has 10 positive and 9 negative out-edges, expected 10 each"]
 
 
+def test_degree_counts_catches_a_root_moved_between_classes(monkeypatch):
+    """Moving one positive root between two degree-5 classes with two
+    positive out-edges each keeps the totals, but not the per-j Narayana
+    counts {1: 1, 2: 3, 3: 1} of 3x4: exactly one violation."""
+    exact = orbit.out_edges
+    shape = RectShape(3, 4)
+    outs = {cls: exact(cls) for cls in orbit.classes_at_degree(shape, 5)}
+    giver, taker = [cls for cls, out in outs.items() if sum(r.sign > 0 for r in out) == 2][:2]
+    root = next(r for r in outs[giver] if r.sign > 0 and r not in outs[taker])
+
+    def move_one(cls):
+        edges = dict(exact(cls))
+        if cls == giver:
+            del edges[root]
+        if cls == taker:
+            edges[root] = outs[giver][root]
+        return edges
+
+    monkeypatch.setattr(orbit, "out_edges", move_one)
+    bad = class_check(verify._degree_counts, shape, (0, 12))
+    assert bad == [
+        "degree 5 counts {1: 2, 2: 1, 3: 2} classes per number of positive out-edges, expected {1: 1, 2: 3, 3: 1}"
+    ]
+
+
 @pytest.mark.parametrize(
     "fault",
     [
